@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 from .graph import (
     EdgeKind,
@@ -66,35 +67,30 @@ class Complex:
         return f"Complex({self.path[0]} -> {inner} <- {self.path[-1]})"
 
 
-def _complex_paths_idx(g: HybridGraph, mask: int) -> list[tuple[int, ...]]:
-    """All complexes of the induced subgraph on ``mask``, as index paths.
+def _chordless_paths(sib: list[int], ends: list[int], adj: list[int], mask: int,
+                     length: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Chordless paths (a, w1, ..., wl, b) of the induced subgraph on ``mask``.
 
-    Index paths run (u, w1, ..., wr, v) with u < v; node indices follow
-    label order, so index canonicalization matches label canonicalization.
-    Search: from each arrow u -> w1, grow the line path keeping every new
-    node nonadjacent to all earlier complex nodes but its predecessor, and
-    close with any second parent v of the last region node.
+    w1 - ... - wl is a line path (``sib``), a is in ``ends[w1]`` and b in
+    ``ends[wl]``, a < b, and no two nonconsecutive nodes are adjacent
+    (``adj``); ``length`` fixes l.  Index order follows label order, so
+    a < b is label canonicalization.
     """
-    found: list[tuple[int, ...]] = []
-    sib, par = g.sib_masks, g.par_masks
-    adj = [g.adj_mask(i) for i in range(len(g))]
-
-    def grow(u: int, path: list[int], blocked: int) -> None:
-        last = path[-1]
-        # close: second parents of the last region node
-        for v in _bits(par[last] & mask & ~blocked):
-            if v != u and u < v:
-                found.append((u, *path, v))
-        # extend the region by a line
-        for x in _bits(sib[last] & mask & ~blocked):
-            grow(u, path + [x], blocked | adj[last])
-
     for w in _bits(mask):
-        for u in _bits(par[w] & mask):
-            # blocked: nodes already in the complex or adjacent to them
-            grow(u, [w], (1 << u) | (1 << w) | adj[u])
-    found.sort()
-    return found
+        for a in _bits(ends[w] & mask):
+            # blocked: nodes on the path, or adjacent to one before its last
+            stack = [((w,), (1 << a) | adj[a])]
+            while stack:
+                path, blocked = stack.pop()
+                last = path[-1]
+                free = mask & ~blocked
+                if length is None or len(path) == length:
+                    for b in _bits(ends[last] & free & ~((2 << a) - 1)):
+                        yield (a, *path, b)
+                if length is None or len(path) < length:
+                    blocked |= adj[last]
+                    for x in _bits(sib[last] & free):
+                        stack.append(((*path, x), blocked))
 
 
 def enumerate_complexes(g: HybridGraph) -> list[Complex]:
@@ -102,7 +98,8 @@ def enumerate_complexes(g: HybridGraph) -> list[Complex]:
     try:
         paths = g._cache["complexes"]
     except KeyError:
-        paths = _complex_paths_idx(g, (1 << len(g)) - 1)
+        adj = [g.adj_mask(i) for i in range(len(g))]
+        paths = list(_chordless_paths(g.sib_masks, g.par_masks, adj, (1 << len(g)) - 1))
         g._cache["complexes"] = paths
     out = [Complex(tuple(g.nodes[i] for i in p)) for p in paths]
     out.sort(key=lambda c: (c.parents, c.region))
@@ -113,7 +110,8 @@ def complex_parent_pairs(g: HybridGraph, mask: int | None = None) -> list[tuple[
     """Parent index pairs of every complex of the induced subgraph on ``mask``."""
     if mask is None:
         mask = (1 << len(g)) - 1
-    return sorted({(p[0], p[-1]) for p in _complex_paths_idx(g, mask)})
+    adj = [g.adj_mask(i) for i in range(len(g))]
+    return sorted({(p[0], p[-1]) for p in _chordless_paths(g.sib_masks, g.par_masks, adj, mask)})
 
 
 def pattern_of(g: HybridGraph) -> HybridGraph:

@@ -37,7 +37,10 @@ __all__ = [
 
 
 class DependencyModel:
-    """Queryable decomposition of T(N) into independent and dependent parts."""
+    """Queryable decomposition of T(N) into independent and dependent parts.
+
+    Subclasses define ``nodes`` and ``is_independent``.
+    """
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -62,7 +65,6 @@ class CGBackedModel(DependencyModel):
         self.graph = graph
         self.criterion = criterion
         self._memo: dict[tuple, bool] = {}
-        self._pred_memo: dict[tuple, bool] = {}
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -91,7 +93,6 @@ class ExplicitModel(DependencyModel):
         for t in indep:
             t.validate_over(self._nodes)
         self.independencies = indep
-        self._pred_memo: dict[tuple, bool] = {}
         if warn_non_semigraphoid:
             bad = self.semigraphoid_violations()
             if bad:
@@ -105,14 +106,16 @@ class ExplicitModel(DependencyModel):
         return self._nodes
 
     def is_independent(self, t: Triplet) -> bool:
+        """Listed, directly or as its symmetric ``<Y, X | Z>``."""
         t.validate_over(self._nodes)
-        return t in self.independencies
+        return t in self.independencies or t.symmetric() in self.independencies
 
     def semigraphoid_violations(self) -> list[Triplet]:
-        """Triplets derivable by the semigraphoid axioms but not listed."""
+        """Triplets derivable by the semigraphoid axioms but not stated,
+        directly or by symmetry."""
         closed = semigraphoid_closure(self.independencies, self._nodes,
                                       max_nodes=len(self._nodes))
-        return sorted(closed - self.independencies, key=format_triplet)
+        return sorted((t for t in closed if not self.is_independent(t)), key=format_triplet)
 
 
 def is_independent(model: DependencyModel, t: Triplet) -> bool:
@@ -121,6 +124,16 @@ def is_independent(model: DependencyModel, t: Triplet) -> bool:
 
 # ---------------------------------------------------------------------------
 # recovery predicates
+
+def _pred_memo(model: DependencyModel) -> dict[tuple, bool]:
+    """The model's ``dep_all``/``dep_plus`` memo, created on first use, so
+    that subclasses need not set it up."""
+    try:
+        return model._pred_memo
+    except AttributeError:
+        model._pred_memo = {}
+        return model._pred_memo
+
 
 def _rest(model: DependencyModel, exclude: tuple[str, ...]) -> list[str]:
     return [u for u in model.nodes if u not in exclude]
@@ -131,7 +144,7 @@ def dep_all(model: DependencyModel, u: str, v: str) -> bool:
     if u == v:
         raise ValueError("u and v must be distinct")
     key = ("all", u, v)
-    memo = model._pred_memo
+    memo = _pred_memo(model)
     try:
         return memo[key]
     except KeyError:
@@ -154,7 +167,7 @@ def dep_plus(model: DependencyModel, u: str, v: str, w: str) -> bool:
     if len({u, v, w}) != 3:
         raise ValueError("u, v, w must be distinct")
     key = ("plus", u, v, w)
-    memo = model._pred_memo
+    memo = _pred_memo(model)
     try:
         return memo[key]
     except KeyError:

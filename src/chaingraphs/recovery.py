@@ -1,10 +1,13 @@
 """Two-stage structure recovery from a dependency model.
 
 Stage 1 rebuilds the pattern of the (unknown) equivalence class from the
-two predicate families "dependent for every Z" and "dependent for every Z
-containing w": level 0 lays down the skeleton, level 1 directs degree-1
-complexes, and level l directs the end arrows of degree-l complexes found
-as chordless mixed paths.
+two predicate families "dependent for every Z" (``dep_all``) and
+"dependent for every Z containing w" (``dep_plus``).  Level 0 lays down
+the skeleton.  Level l >= 1 searches the current graph for the chordless
+paths a, w1 - ... - wl, b whose ends are joined to the line path by a line
+or an arrow into it, and directs a -> w1 and b -> wl where ``dep_plus``
+holds given w1 and given wl.  The search is the one that enumerates
+complexes, run on the working graph's line and arrow bitmasks.
 
 Stage 2 turns the pattern into the largest chain graph of the class by
 alternating orientation bans (transitivity principle) with line directing
@@ -14,11 +17,10 @@ alternating orientation bans (transitivity principle) with line directing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
-from .complexes import pattern_of
+from .complexes import _chordless_paths, pattern_of
 from .depmodel import DependencyModel, dep_all, dep_plus
-from .graph import EdgeKind, GraphError, HybridGraph, is_chain_graph
+from .graph import EdgeKind, GraphError, HybridGraph, _bits, is_chain_graph
 
 __all__ = [
     "PatternConflictError",
@@ -50,86 +52,57 @@ def recover_pattern(model: DependencyModel) -> HybridGraph:
     """Reconstruct the pattern of the class inducing ``model``.
 
     Level-l directings are computed against the previous level in full
-    before any is applied, so scan order cannot matter.
+    before any is applied, so search order cannot matter.
     """
     nodes = sorted(model.nodes)
     n = len(nodes)
+    # sib[i]: line neighbours of i; into[j]: tails of the arrows into j
+    sib = [0] * n
+    into = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dep_all(model, nodes[i], nodes[j]):
+                sib[i] |= 1 << j
+                sib[j] |= 1 << i
+    adj = list(sib)  # directing keeps the skeleton
 
-    # level 0: skeleton
-    state: dict[tuple[str, str], object] = {}
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1:]:
-            if dep_all(model, u, v):
-                state[(u, v)] = "line"
-
-    def kind(a: str, b: str):
-        return state.get((a, b) if a < b else (b, a))
-
-    def is_line(a, b):
-        return kind(a, b) == "line"
-
-    def is_arrow(tail, head):
-        return kind(tail, head) == (tail, head)
-
-    def apply_level(demands: set[tuple[str, str]]) -> None:
-        by_edge: dict[tuple[str, str], set] = {}
-        for tail, head in demands:
-            key = (tail, head) if tail < head else (head, tail)
-            by_edge.setdefault(key, set()).add((tail, head))
-        for key, dirs in by_edge.items():
-            if len(dirs) > 1:
-                raise PatternConflictError(f"line {key!r} demanded in both directions")
-            (tail, head), = dirs
-            current = state[key]
-            if current == "line":
-                state[key] = (tail, head)
-            elif current != (tail, head):
-                raise PatternConflictError(
-                    f"demanded arrow {tail}->{head} contradicts existing {current!r}")
-
-    # level 1: degree-1 complexes
-    demands: set[tuple[str, str]] = set()
-    for w in nodes:
-        for u, v in permutations(nodes, 2):
-            if u >= v or w in (u, v):
-                continue
-            if (is_line(u, w) and is_line(v, w) and kind(u, v) is None
-                    and dep_plus(model, u, v, w)):
-                demands.add((u, w))
-                demands.add((v, w))
-    apply_level(demands)
-
-    # levels 2 .. n-2: higher-degree complexes as chordless mixed paths
-    for level in range(2, n - 1):
-        demands = set()
-        for seq in permutations(nodes, level + 2):
-            if seq[0] > seq[-1]:
-                continue  # the reversed sequence yields the same demands
-            if not (is_line(seq[0], seq[1]) or is_arrow(seq[0], seq[1])):
-                continue
-            if not (is_line(seq[-2], seq[-1]) or is_arrow(seq[-1], seq[-2])):
-                continue
-            if not all(is_line(seq[i], seq[i + 1]) for i in range(1, level)):
-                continue
-            if any(kind(seq[i], seq[j]) is not None
-                   for i in range(level + 2) for j in range(i + 2, level + 2)):
-                continue
-            if not dep_plus(model, seq[0], seq[-1], seq[1]):
-                continue
-            if not dep_plus(model, seq[0], seq[-1], seq[-2]):
-                continue
-            demands.add((seq[0], seq[1]))
-            demands.add((seq[-1], seq[-2]))
-        apply_level(demands)
+    for level in range(1, n - 1):
+        ends = [s | t for s, t in zip(sib, into)]
+        demands: set[tuple[int, int]] = set()
+        for p in _chordless_paths(sib, ends, adj, (1 << n) - 1, level):
+            a, b = nodes[p[0]], nodes[p[-1]]
+            # with one interior node p[1] is p[-2]: one query covers both ends
+            if dep_plus(model, a, b, nodes[p[1]]) and (
+                    level == 1 or dep_plus(model, a, b, nodes[p[-2]])):
+                demands.add((p[0], p[1]))
+                demands.add((p[-1], p[-2]))
+        _apply_level(nodes, sib, into, demands)
 
     edges = {}
-    for key, value in state.items():
-        if value == "line":
-            edges[key] = EdgeKind.LINE
-        else:
-            tail, _head = value
-            edges[key] = EdgeKind.ARROW_FORWARD if tail == key[0] else EdgeKind.ARROW_BACKWARD
+    for j in range(n):
+        for i in _bits(sib[j] & ((1 << j) - 1)):
+            edges[(nodes[i], nodes[j])] = EdgeKind.LINE
+        for i in _bits(into[j]):
+            edges[(nodes[i], nodes[j])] = EdgeKind.ARROW_FORWARD
     return HybridGraph(nodes, edges)
+
+
+def _apply_level(nodes, sib, into, demands) -> None:
+    """Turn each demanded line tail -> head into an arrow, in sorted edge order,
+    so that the first conflict reported does not depend on set order.
+    """
+    for tail, head in sorted(demands, key=sorted):
+        if (head, tail) in demands:
+            key = tuple(sorted((nodes[tail], nodes[head])))
+            raise PatternConflictError(f"line {key!r} demanded in both directions")
+        if sib[tail] >> head & 1:
+            sib[tail] ^= 1 << head
+            sib[head] ^= 1 << tail
+            into[head] |= 1 << tail
+        elif not into[head] >> tail & 1:
+            raise PatternConflictError(
+                f"demanded arrow {nodes[tail]}->{nodes[head]} contradicts existing "
+                f"{(nodes[head], nodes[tail])!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import chaingraphs
 from chaingraphs.cli import run
 
 GA = "nodes a b c d\nb -> a\nb -> c\na -> d\nc -> d\n"
@@ -157,3 +162,22 @@ def test_output_deterministic(files, capsys):
     first = capsys.readouterr().out
     run(["class", files["ga.cg"]])
     assert capsys.readouterr().out == first
+
+
+def test_recover_conflict_independent_of_hash_seed(tmp_path):
+    # both diagonals of the 4-cycle are independent, so level 1 demands
+    # every line in both directions; the first line in edge order is named
+    model = tmp_path / "cycle.model"
+    model.write_text("model a b c d\na | c |\nb | d |\n")
+    src = os.path.dirname(os.path.dirname(chaingraphs.__file__))
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs.append(subprocess.run(
+            [sys.executable, "-c", "from chaingraphs.cli import main; main()",
+             "recover", "--model", str(model)],
+            env=env, capture_output=True, text=True, timeout=60))
+    assert [r.returncode for r in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr == \
+        "error: line ('a', 'b') demanded in both directions\n"

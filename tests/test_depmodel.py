@@ -2,6 +2,7 @@ import pytest
 
 from chaingraphs import (
     CGBackedModel,
+    DependencyModel,
     ExplicitModel,
     GraphError,
     Triplet,
@@ -19,6 +20,8 @@ from chaingraphs import (
     moralization_represented,
     parse_model,
     parse_triplet,
+    pattern_of,
+    recover_pattern,
     semigraphoid_closure,
     serialize_model,
 )
@@ -176,3 +179,29 @@ def test_parse_model_errors():
         parse_model("a | b | c\n")  # missing header
     with pytest.raises(InvalidTripletError):
         parse_model("model a b\nnot a triplet\n")
+
+
+def test_explicit_model_symmetric():
+    # listing <b, a | c> states <a, b | c> too, so both listings drop a - b
+    for listed in ("a | b | c", "b | a | c"):
+        m = ExplicitModel("abc", [parse_triplet(listed)])
+        assert m.is_independent(Triplet("a", "b", "c"))
+        assert m.is_independent(Triplet("b", "a", "c"))
+        assert not recover_pattern(m).has_edge("a", "b")
+        assert m.semigraphoid_violations() == []
+        assert serialize_model(m) == f"model a b c\n{listed}\n"
+
+
+def test_user_subclass_predicates(ga):
+    class Oracle(DependencyModel):
+        """Defines only what the base class asks for."""
+
+        nodes = ga.nodes
+
+        def is_independent(self, t):
+            return moralization_represented(ga, t)
+
+    m = Oracle()
+    assert dep_all(m, "a", "d") and not dep_all(m, "a", "c")
+    assert dep_plus(m, "a", "c", "d") and not dep_plus(m, "a", "c", "b")
+    assert recover_pattern(m) == pattern_of(ga)
