@@ -8,6 +8,7 @@ byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .complexes import (
@@ -240,6 +241,7 @@ def _cmd_class(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaingraphs",

@@ -5,6 +5,16 @@ A dependency model splits every triplet <X, Y | Z> into independent or
 dependent.  CG-backed models answer through a separation criterion;
 explicit models list their independency part and treat everything else as
 dependent (closed world).
+
+``dep_all`` and ``dep_plus`` ask the model the mask-level query
+``independent_mask(x, y, z)``: bit i of each int stands for the i-th label
+of ``sorted(model.nodes)``.  They walk the conditioning sets by size, then
+in ``combinations`` order over ``model.nodes``, and stop at the first
+independence.  The default ``independent_mask`` turns the masks back into
+a ``Triplet`` and calls ``is_independent``, so a subclass that defines only
+``nodes`` and ``is_independent`` sees the same queries, in the same order,
+as a loop over triplets would make.  ``CGBackedModel`` answers the masks
+directly from one memo, which its ``is_independent`` shares.
 """
 
 from __future__ import annotations
@@ -15,7 +25,9 @@ from itertools import combinations
 
 from .complexes import BoundExceededError
 from .graph import GraphError, HybridGraph, _LABEL_RE, _bits, boundary, is_chain_graph
-from .separation import c_represented, moralization_represented
+from .separation import c_active_mask, represented_mask
+# the Triplet-level criteria stay importable here: bench/spans.py wraps them
+from .separation import c_represented, moralization_represented  # noqa: F401
 from .triplets import InvalidTripletError, Triplet, all_triplets, format_triplet, parse_triplet
 
 __all__ = [
@@ -39,7 +51,8 @@ __all__ = [
 class DependencyModel:
     """Queryable decomposition of T(N) into independent and dependent parts.
 
-    Subclasses define ``nodes`` and ``is_independent``.
+    Subclasses define ``nodes`` and ``is_independent``, and may override
+    ``independent_mask`` with a faster answer to the same query.
     """
 
     @property
@@ -49,12 +62,21 @@ class DependencyModel:
     def is_independent(self, t: Triplet) -> bool:
         raise NotImplementedError
 
+    def independent_mask(self, x: int, y: int, z: int) -> bool:
+        """Whether <X, Y | Z> is independent, with bit i of each mask
+        standing for ``sorted(self.nodes)[i]``; no validation.  The default
+        builds the ``Triplet`` and asks ``is_independent``.
+        """
+        labels = sorted(self.nodes)
+        return self.is_independent(Triplet(*([labels[i] for i in _bits(m)] for m in (x, y, z))))
+
 
 class CGBackedModel(DependencyModel):
     """The dependency model induced by a chain graph.
 
     ``criterion`` selects the backend: 'moral' (default) or 'c'; the two
-    agree on every triplet.  Answers are memoized per triplet.
+    agree on every triplet.  Answers are memoized per ``(x, y, z)`` node
+    mask triple, over the graph's (sorted) node order.
     """
 
     def __init__(self, graph: HybridGraph, criterion: str = "moral"):
@@ -64,22 +86,27 @@ class CGBackedModel(DependencyModel):
             raise ValueError(f"unknown criterion {criterion!r}")
         self.graph = graph
         self.criterion = criterion
-        self._memo: dict[tuple, bool] = {}
+        self._memo: dict[tuple[int, int, int], bool] = {}
 
     @property
     def nodes(self) -> tuple[str, ...]:
         return self.graph.nodes
 
-    def is_independent(self, t: Triplet) -> bool:
-        key = (t.X, t.Y, t.Z)
-        try:
-            return self._memo[key]
-        except KeyError:
-            pass
-        fn = moralization_represented if self.criterion == "moral" else c_represented
-        answer = fn(self.graph, t)
-        self._memo[key] = answer
+    def independent_mask(self, x: int, y: int, z: int) -> bool:
+        key = (x, y, z)
+        answer = self._memo.get(key)
+        if answer is None:
+            if self.criterion == "moral":
+                answer = represented_mask(self.graph, x, y, z)
+            else:
+                answer = not c_active_mask(self.graph, x, y, z)
+            self._memo[key] = answer
         return answer
+
+    def is_independent(self, t: Triplet) -> bool:
+        g = self.graph
+        t.validate_over(g.nodes)
+        return self.independent_mask(g.mask_of(t.X), g.mask_of(t.Y), g.mask_of(t.Z))
 
 
 class ExplicitModel(DependencyModel):
@@ -135,54 +162,42 @@ def _pred_memo(model: DependencyModel) -> dict[tuple, bool]:
         return model._pred_memo
 
 
-def _rest(model: DependencyModel, exclude: tuple[str, ...]) -> list[str]:
-    return [u for u in model.nodes if u not in exclude]
+def _dep_every(model: DependencyModel, key: tuple) -> bool:
+    """D<u, v | Z> for every Z over the other nodes that holds w as well,
+    for ``key`` = (kind, u, v) or (kind, u, v, w).
+
+    The sets are tried by size, then in ``combinations`` order over
+    ``model.nodes``, one ``independent_mask`` query each.
+    """
+    memo = _pred_memo(model)
+    answer = memo.get(key)
+    if answer is None:
+        bit = {lab: 1 << i for i, lab in enumerate(sorted(model.nodes))}
+        unknown = sorted(set(key[1:]) - bit.keys())
+        if unknown:
+            raise InvalidTripletError(f"unknown nodes: {unknown}")
+        x, y = bit[key[1]], bit[key[2]]
+        base = sum(bit[w] for w in key[3:])
+        rest = [b for b in map(bit.get, model.nodes) if not b & (x | y | base)]
+        query = model.independent_mask
+        answer = not any(query(x, y, base | sum(zs))
+                         for r in range(len(rest) + 1) for zs in combinations(rest, r))
+        memo[key] = answer
+    return answer
 
 
 def dep_all(model: DependencyModel, u: str, v: str) -> bool:
     """Dependent for every conditioning set: D<u, v | Z> for all Z."""
     if u == v:
         raise ValueError("u and v must be distinct")
-    key = ("all", u, v)
-    memo = _pred_memo(model)
-    try:
-        return memo[key]
-    except KeyError:
-        pass
-    rest = _rest(model, (u, v))
-    answer = True
-    for r in range(len(rest) + 1):
-        for z in combinations(rest, r):
-            if model.is_independent(Triplet({u}, {v}, z)):
-                answer = False
-                break
-        if not answer:
-            break
-    memo[key] = answer
-    return answer
+    return _dep_every(model, ("all", u, v))
 
 
 def dep_plus(model: DependencyModel, u: str, v: str, w: str) -> bool:
     """Dependent for every conditioning set containing w."""
     if len({u, v, w}) != 3:
         raise ValueError("u, v, w must be distinct")
-    key = ("plus", u, v, w)
-    memo = _pred_memo(model)
-    try:
-        return memo[key]
-    except KeyError:
-        pass
-    rest = _rest(model, (u, v, w))
-    answer = True
-    for r in range(len(rest) + 1):
-        for z in combinations(rest, r):
-            if model.is_independent(Triplet({u}, {v}, set(z) | {w})):
-                answer = False
-                break
-        if not answer:
-            break
-    memo[key] = answer
-    return answer
+    return _dep_every(model, ("plus", u, v, w))
 
 
 def cg_fast_dep_all(g: HybridGraph, u: str, v: str) -> bool:

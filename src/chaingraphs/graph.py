@@ -215,18 +215,7 @@ class HybridGraph:
 
     def _reach_masks(self, step: Sequence[int]) -> list[int]:
         """Per-node reachability closure of a one-step mask relation."""
-        out = []
-        for i in range(len(self._nodes)):
-            seen = 1 << i
-            frontier = seen
-            while frontier:
-                nxt = 0
-                for j in _bits(frontier):
-                    nxt |= step[j]
-                frontier = nxt & ~seen
-                seen |= nxt
-            out.append(seen)
-        return out
+        return [_reach(step, 1 << i) for i in range(len(self._nodes))]
 
     @property
     def anc_masks(self) -> list[int]:
@@ -266,6 +255,21 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _reach(step: Sequence[int], seed: int, avoid: int = 0) -> int:
+    """Nodes reachable from ``seed`` (included) by ``step`` moves that
+    never enter ``avoid``: a breadth-first search on bitmasks."""
+    reach = frontier = seed
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= step[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~(reach | avoid)
+        reach |= frontier
+    return reach
 
 
 def build_graph(
@@ -324,14 +328,7 @@ def components(g: HybridGraph) -> list[frozenset[str]]:
     for i in range(n):
         if seen >> i & 1:
             continue
-        comp = 1 << i
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for j in _bits(frontier):
-                nxt |= g.sib_masks[j]
-            frontier = nxt & ~comp
-            comp |= nxt
+        comp = _reach(g.sib_masks, 1 << i)
         seen |= comp
         comps.append(g.labels_of(comp))
     comps.sort(key=min)

@@ -23,6 +23,7 @@ from .graph import (
     HybridGraph,
     NotChainGraphError,
     _bits,
+    _reach,
     components,
     is_chain_graph,
     underlying,
@@ -82,19 +83,8 @@ def ug_separated(u_graph: HybridGraph, t: Triplet) -> bool:
     if any(kind is not EdgeKind.LINE for kind in u_graph.edges.values()):
         raise GraphError("ug_separated expects an all-line graph")
     t.validate_over(u_graph.nodes)
-    xm = u_graph.mask_of(t.X)
-    ym = u_graph.mask_of(t.Y)
-    zm = u_graph.mask_of(t.Z)
-    reach = xm
-    frontier = xm
-    while frontier:
-        nxt = 0
-        for j in _bits(frontier):
-            nxt |= u_graph.sib_masks[j]
-        nxt &= ~zm
-        frontier = nxt & ~reach
-        reach |= nxt
-    return not reach & ym
+    reach = _reach(u_graph.sib_masks, u_graph.mask_of(t.X), u_graph.mask_of(t.Z))
+    return not reach & u_graph.mask_of(t.Y)
 
 
 def _moral_adj(g: HybridGraph, a_mask: int) -> list[int]:
@@ -114,20 +104,11 @@ def _moral_adj(g: HybridGraph, a_mask: int) -> list[int]:
 
 def represented_mask(g: HybridGraph, xm: int, ym: int, zm: int) -> bool:
     """Moralization criterion on bitmask node sets (no validation)."""
+    anc = g.anc_masks
     a_mask = 0
     for i in _bits(xm | ym | zm):
-        a_mask |= g.anc_masks[i]
-    adj = _moral_adj(g, a_mask)
-    reach = xm
-    frontier = xm
-    while frontier:
-        nxt = 0
-        for j in _bits(frontier):
-            nxt |= adj[j]
-        nxt &= ~zm
-        frontier = nxt & ~reach
-        reach |= nxt
-    return not reach & ym
+        a_mask |= anc[i]
+    return not _reach(_moral_adj(g, a_mask), xm, zm) & ym
 
 
 def moralization_represented(g: HybridGraph, t: Triplet) -> bool:

@@ -98,6 +98,20 @@ def test_pattern_arg_validation(files):
         run(["pattern", files["ga.cg"], "--model", files["indep.model"]])
 
 
+def test_parser_reused_across_runs(files, capsys):
+    from chaingraphs.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    # errors on the shared parser exit 2 every time and leave no state behind
+    for argv in (["pattern"], ["sep", files["ga.cg"]], ["pattern"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    assert run(["sep", files["ga.cg"], "a | c | b", "--criterion", "c"]) == 0
+    assert run(["sep", files["ga.cg"], "a | c | b,d"]) == 1
+    assert capsys.readouterr().out == "SEPARATED\nCONNECTED\n"
+
+
 def test_largest(files, tmp_path, capsys):
     pat = tmp_path / "pat.cg"
     pat.write_text("nodes a b c d\na -- b\nb -- c\na -> d\nc -> d\n")
