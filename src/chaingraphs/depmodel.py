@@ -14,7 +14,8 @@ independence.  The default ``independent_mask`` turns the masks back into
 a ``Triplet`` and calls ``is_independent``, so a subclass that defines only
 ``nodes`` and ``is_independent`` sees the same queries, in the same order,
 as a loop over triplets would make.  ``CGBackedModel`` answers the masks
-directly from one memo, which its ``is_independent`` shares.
+directly from one memo, which its ``is_independent`` shares;
+``ExplicitModel`` looks them up in its listing.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import combinations
 from .complexes import BoundExceededError
 from .graph import GraphError, HybridGraph, _LABEL_RE, _bits, boundary, is_chain_graph
 from .separation import c_active_mask, represented_mask
-# the Triplet-level criteria stay importable here: bench/spans.py wraps them
+# unused here; bench/spans.py patches these names and cannot install without them
 from .separation import c_represented, moralization_represented  # noqa: F401
 from .triplets import InvalidTripletError, Triplet, all_triplets, format_triplet, parse_triplet
 
@@ -65,10 +66,15 @@ class DependencyModel:
     def independent_mask(self, x: int, y: int, z: int) -> bool:
         """Whether <X, Y | Z> is independent, with bit i of each mask
         standing for ``sorted(self.nodes)[i]``; no validation.  The default
-        builds the ``Triplet`` and asks ``is_independent``.
+        builds the ``Triplet`` and asks ``is_independent``, caching the label
+        set of each mask (``nodes`` is taken not to change).
         """
-        labels = sorted(self.nodes)
-        return self.is_independent(Triplet(*([labels[i] for i in _bits(m)] for m in (x, y, z))))
+        sets = vars(self).setdefault("_label_sets", {})  # mask -> its labels
+        for m in (x, y, z):
+            if m not in sets:
+                labels = sorted(self.nodes)
+                sets[m] = frozenset(labels[i] for i in _bits(m))
+        return self.is_independent(Triplet(sets[x], sets[y], sets[z]))
 
 
 class CGBackedModel(DependencyModel):
@@ -120,6 +126,9 @@ class ExplicitModel(DependencyModel):
         for t in indep:
             t.validate_over(self._nodes)
         self.independencies = indep
+        bit = {lab: 1 << i for i, lab in enumerate(self._nodes)}
+        listed = [[sum(bit[lab] for lab in s) for s in (t.X, t.Y, t.Z)] for t in indep]
+        self._listed = {(x, y, z) for a, b, z in listed for x, y in ((a, b), (b, a))}
         if warn_non_semigraphoid:
             bad = self.semigraphoid_violations()
             if bad:
@@ -137,6 +146,10 @@ class ExplicitModel(DependencyModel):
         t.validate_over(self._nodes)
         return t in self.independencies or t.symmetric() in self.independencies
 
+    def independent_mask(self, x: int, y: int, z: int) -> bool:
+        """Listed, directly or by symmetry, as a triple of node masks."""
+        return (x, y, z) in self._listed
+
     def semigraphoid_violations(self) -> list[Triplet]:
         """Triplets derivable by the semigraphoid axioms but not stated,
         directly or by symmetry."""
@@ -152,16 +165,6 @@ def is_independent(model: DependencyModel, t: Triplet) -> bool:
 # ---------------------------------------------------------------------------
 # recovery predicates
 
-def _pred_memo(model: DependencyModel) -> dict[tuple, bool]:
-    """The model's ``dep_all``/``dep_plus`` memo, created on first use, so
-    that subclasses need not set it up."""
-    try:
-        return model._pred_memo
-    except AttributeError:
-        model._pred_memo = {}
-        return model._pred_memo
-
-
 def _dep_every(model: DependencyModel, key: tuple) -> bool:
     """D<u, v | Z> for every Z over the other nodes that holds w as well,
     for ``key`` = (kind, u, v) or (kind, u, v, w).
@@ -169,7 +172,7 @@ def _dep_every(model: DependencyModel, key: tuple) -> bool:
     The sets are tried by size, then in ``combinations`` order over
     ``model.nodes``, one ``independent_mask`` query each.
     """
-    memo = _pred_memo(model)
+    memo = vars(model).setdefault("_pred_memo", {})  # subclasses need not set it up
     answer = memo.get(key)
     if answer is None:
         bit = {lab: 1 << i for i, lab in enumerate(sorted(model.nodes))}

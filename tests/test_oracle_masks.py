@@ -18,6 +18,7 @@ from chaingraphs import (
     ExplicitModel,
     InvalidTripletError,
     Triplet,
+    all_triplets,
     c_represented,
     dep_all,
     dep_plus,
@@ -87,6 +88,16 @@ def test_matches_reference_on_random_explicit_models():
     for i in range(300):
         model = random_explicit_model(rng, 3 + i % 4)
         assert_predicates_match(model, model.is_independent)
+
+
+def test_explicit_model_mask_lookup_matches_is_independent():
+    rng = random.Random(17)
+    for i in range(100):
+        model = random_explicit_model(rng, 3 + i % 4)
+        bit = {lab: 1 << k for k, lab in enumerate(model.nodes)}
+        for t in all_triplets(model.nodes):
+            masks = (sum(bit[lab] for lab in s) for s in (t.X, t.Y, t.Z))
+            assert model.independent_mask(*masks) == model.is_independent(t), t
 
 
 class Recorder(DependencyModel):
