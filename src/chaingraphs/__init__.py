@@ -59,8 +59,6 @@ from .depmodel import (
     is_independent,
     dep_all,
     dep_plus,
-    cg_fast_dep_all,
-    cg_fast_complex_test,
     input_list,
     graphoid_closure,
     semigraphoid_closure,
@@ -99,7 +97,7 @@ __all__ = [
     "ug_separated", "moralization_represented", "enumerate_trails",
     "sections_of", "slides_to", "section_blocked", "c_represented",
     "DependencyModel", "CGBackedModel", "ExplicitModel", "is_independent",
-    "dep_all", "dep_plus", "cg_fast_dep_all", "cg_fast_complex_test",
+    "dep_all", "dep_plus",
     "input_list", "graphoid_closure", "semigraphoid_closure",
     "parse_model", "serialize_model",
     "PatternConflictError", "InvalidPatternError", "AnnotatedPattern",

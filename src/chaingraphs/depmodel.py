@@ -38,8 +38,6 @@ __all__ = [
     "is_independent",
     "dep_all",
     "dep_plus",
-    "cg_fast_dep_all",
-    "cg_fast_complex_test",
     "input_list",
     "graphoid_closure",
     "semigraphoid_closure",
@@ -201,31 +199,6 @@ def dep_plus(model: DependencyModel, u: str, v: str, w: str) -> bool:
     if len({u, v, w}) != 3:
         raise ValueError("u, v, w must be distinct")
     return _dep_every(model, ("plus", u, v, w))
-
-
-def cg_fast_dep_all(g: HybridGraph, u: str, v: str) -> bool:
-    """Constant-time equivalent of dep_all for CG-backed models: edge presence."""
-    if not is_chain_graph(g):
-        raise GraphError("fast predicates require a chain graph")
-    if u == v:
-        raise ValueError("u and v must be distinct")
-    g.index_of(u)
-    g.index_of(v)
-    return g.has_edge(u, v)
-
-
-def cg_fast_complex_test(g: HybridGraph, u: str, w: str, v: str) -> bool:
-    """Constant-time equivalent of dep_plus under the degree-1 hypothesis:
-    {u,w} and {v,w} edges, {u,v} a non-edge; answers whether u -> w <- v
-    is a complex.
-    """
-    if not is_chain_graph(g):
-        raise GraphError("fast predicates require a chain graph")
-    if len({u, v, w}) != 3:
-        raise ValueError("u, w, v must be distinct")
-    if not g.has_edge(u, w) or not g.has_edge(v, w) or g.has_edge(u, v):
-        raise GraphError("hypothesis violated: need edges {u,w}, {v,w} and non-edge {u,v}")
-    return g.has_arrow(u, w) and g.has_arrow(v, w)
 
 
 # ---------------------------------------------------------------------------

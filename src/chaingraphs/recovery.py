@@ -12,6 +12,11 @@ complexes, run on the working graph's line and arrow bitmasks.
 Stage 2 turns the pattern into the largest chain graph of the class by
 alternating orientation bans (transitivity principle) with line directing
 (necessity and doublecycle principles); bans have priority.
+
+Both stages run on one mutable mask working graph: per-node line, parent
+and child bitmasks plus a ban mask per node.  Neighbours are visited in
+ascending bit order, which is sorted label order, and the public
+functions convert labels and ban pairs to masks at the boundary.
 """
 
 from __future__ import annotations
@@ -46,6 +51,56 @@ class InvalidPatternError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# the working graph shared by both stages
+
+class _WorkingGraph:
+    """Mutable mask copy of a hybrid graph with per-direction line bans.
+
+    ``sib``, ``par`` and ``chi`` are per-node line, parent and child masks
+    over ``nodes`` (sorted labels, so ascending bits follow label order).
+    Bit v of ``ban[u]`` is the ban (u, v): no arrow v -> u.
+    """
+
+    __slots__ = ("nodes", "sib", "par", "chi", "ban")
+
+    def __init__(self, nodes, sib, par, chi, ban):
+        self.nodes = tuple(nodes)
+        self.sib, self.par, self.chi, self.ban = list(sib), list(par), list(chi), list(ban)
+
+    @classmethod
+    def of(cls, g: HybridGraph, bans=()) -> _WorkingGraph:
+        ban = [0] * len(g)
+        for u, v in bans:
+            ban[g.index_of(u)] |= 1 << g.index_of(v)
+        return cls(g.nodes, g.sib_masks, g.par_masks, g.chi_masks, ban)
+
+    def adj(self, u: int) -> int:
+        return self.sib[u] | self.par[u] | self.chi[u]
+
+    def d_step(self, u: int) -> int:
+        """Nodes v with an arrow u -> v or a line u - v banned against v -> u."""
+        return self.chi[u] | (self.sib[u] & self.ban[u])
+
+    def direct(self, tail: int, head: int) -> None:
+        """Turn the line tail - head into the arrow tail -> head."""
+        self.sib[tail] &= ~(1 << head)
+        self.sib[head] &= ~(1 << tail)
+        self.chi[tail] |= 1 << head
+        self.par[head] |= 1 << tail
+        self.ban[tail] &= ~(1 << head)
+        self.ban[head] &= ~(1 << tail)
+
+    def to_graph(self) -> HybridGraph:
+        nodes, edges = self.nodes, {}
+        for j in range(len(nodes)):
+            for i in _bits(self.sib[j] & ((1 << j) - 1)):
+                edges[(nodes[i], nodes[j])] = EdgeKind.LINE
+            for i in _bits(self.par[j]):
+                edges[(nodes[i], nodes[j])] = EdgeKind.ARROW_FORWARD
+        return HybridGraph(nodes, edges)
+
+
+# ---------------------------------------------------------------------------
 # stage 1: pattern recovery
 
 def recover_pattern(model: DependencyModel) -> HybridGraph:
@@ -56,57 +111,49 @@ def recover_pattern(model: DependencyModel) -> HybridGraph:
     """
     nodes = sorted(model.nodes)
     n = len(nodes)
-    # sib[i]: line neighbours of i; into[j]: tails of the arrows into j
     sib = [0] * n
-    into = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             if dep_all(model, nodes[i], nodes[j]):
                 sib[i] |= 1 << j
                 sib[j] |= 1 << i
+    zeros = [0] * n
+    w = _WorkingGraph(nodes, sib, zeros, zeros, zeros)
     adj = list(sib)  # directing keeps the skeleton
 
     for level in range(1, n - 1):
-        ends = [s | t for s, t in zip(sib, into)]
+        ends = [s | t for s, t in zip(w.sib, w.par)]
         demands: set[tuple[int, int]] = set()
-        for p in _chordless_paths(sib, ends, adj, (1 << n) - 1, level):
+        for p in _chordless_paths(w.sib, ends, adj, (1 << n) - 1, level):
             a, b = nodes[p[0]], nodes[p[-1]]
             # with one interior node p[1] is p[-2]: one query covers both ends
             if dep_plus(model, a, b, nodes[p[1]]) and (
                     level == 1 or dep_plus(model, a, b, nodes[p[-2]])):
                 demands.add((p[0], p[1]))
                 demands.add((p[-1], p[-2]))
-        _apply_level(nodes, sib, into, demands)
-
-    edges = {}
-    for j in range(n):
-        for i in _bits(sib[j] & ((1 << j) - 1)):
-            edges[(nodes[i], nodes[j])] = EdgeKind.LINE
-        for i in _bits(into[j]):
-            edges[(nodes[i], nodes[j])] = EdgeKind.ARROW_FORWARD
-    return HybridGraph(nodes, edges)
+        _apply_level(w, demands)
+    return w.to_graph()
 
 
-def _apply_level(nodes, sib, into, demands) -> None:
+def _apply_level(w: _WorkingGraph, demands) -> None:
     """Turn each demanded line tail -> head into an arrow, in sorted edge order,
     so that the first conflict reported does not depend on set order.
     """
+    nodes = w.nodes
     for tail, head in sorted(demands, key=sorted):
         if (head, tail) in demands:
             key = tuple(sorted((nodes[tail], nodes[head])))
             raise PatternConflictError(f"line {key!r} demanded in both directions")
-        if sib[tail] >> head & 1:
-            sib[tail] ^= 1 << head
-            sib[head] ^= 1 << tail
-            into[head] |= 1 << tail
-        elif not into[head] >> tail & 1:
+        if w.sib[tail] >> head & 1:
+            w.direct(tail, head)
+        elif not w.par[head] >> tail & 1:
             raise PatternConflictError(
                 f"demanded arrow {nodes[tail]}->{nodes[head]} contradicts existing "
                 f"{(nodes[head], nodes[tail])!r}")
 
 
 # ---------------------------------------------------------------------------
-# stage 2: annotated patterns and the working state
+# stage 2: annotated patterns and the rules
 
 @dataclass(frozen=True)
 class AnnotatedPattern:
@@ -135,90 +182,29 @@ class Directing:
     witness: tuple = ()
 
 
-class _State:
-    """Mutable working copy of an annotated pattern."""
-
-    def __init__(self, g: HybridGraph, bans=()):
-        self.nodes = list(g.nodes)
-        self.state: dict[tuple[str, str], object] = {}
-        for (u, v), k in g.edges.items():
-            if k is EdgeKind.LINE:
-                self.state[(u, v)] = "line"
-            elif k is EdgeKind.ARROW_FORWARD:
-                self.state[(u, v)] = (u, v)
-            else:
-                self.state[(u, v)] = (v, u)
-        self.bans: set[tuple[str, str]] = set(bans)
-        self.neighbors: dict[str, list[str]] = {u: [] for u in self.nodes}
-        for u, v in self.state:
-            self.neighbors[u].append(v)
-            self.neighbors[v].append(u)
-        for lst in self.neighbors.values():
-            lst.sort()
-
-    def _key(self, a, b):
-        return (a, b) if a < b else (b, a)
-
-    def adjacent(self, a, b):
-        return self._key(a, b) in self.state
-
-    def is_line(self, a, b):
-        return self.state.get(self._key(a, b)) == "line"
-
-    def is_arrow(self, tail, head):
-        return self.state.get(self._key(tail, head)) == (tail, head)
-
-    def d_step(self, a, b):
-        """Arrow a -> b, or line a - b banned against the a <- b orientation."""
-        value = self.state.get(self._key(a, b))
-        if value == (a, b):
-            return True
-        return value == "line" and (a, b) in self.bans
-
-    def lines(self):
-        return sorted(k for k, v in self.state.items() if v == "line")
-
-    def direct(self, d: Directing) -> None:
-        key = self._key(d.tail, d.head)
-        assert self.state[key] == "line"
-        if (d.head, d.tail) in self.bans:
-            raise InvalidPatternError(
-                f"{d.rule} demands {d.tail}->{d.head}, which is banned")
-        self.state[key] = (d.tail, d.head)
-        self.bans.discard((d.tail, d.head))
-        self.bans.discard((d.head, d.tail))
-
-    def snapshot(self) -> AnnotatedPattern:
-        return AnnotatedPattern(self.to_graph(), frozenset(self.bans))
-
-    def to_graph(self) -> HybridGraph:
-        edges = {}
-        for key, value in self.state.items():
-            if value == "line":
-                edges[key] = EdgeKind.LINE
-            else:
-                tail, _ = value
-                edges[key] = EdgeKind.ARROW_FORWARD if tail == key[0] else EdgeKind.ARROW_BACKWARD
-        return HybridGraph(self.nodes, edges)
+def _working(a: AnnotatedPattern | _WorkingGraph) -> _WorkingGraph:
+    return a if isinstance(a, _WorkingGraph) else _WorkingGraph.of(a.graph, a.bans)
 
 
-def _semislide_exists(st: _State, target: str, excluded: str) -> bool:
+def _semislide_exists(w: _WorkingGraph, target: int, excluded: int) -> bool:
     """Feasible semislide w1, ..., wk = target whose head step is a genuine
     arrow, with no edge between ``excluded`` and any of w1 .. w_{k-1}.
 
     Backward simple-path search over the auxiliary directed relation; a
     repeated node never enables a new head, so simple paths suffice.
     """
-    seen = {target}
+    avoid = w.adj(excluded) | 1 << excluded
+    seen = 1 << target
 
-    def back(cur: str) -> bool:
-        for u in st.neighbors[cur]:
-            if u in seen or u == excluded or st.adjacent(u, excluded):
+    def back(cur: int) -> bool:
+        nonlocal seen
+        for u in _bits(w.adj(cur) & ~avoid):
+            if seen >> u & 1:
                 continue
-            if st.is_arrow(u, cur):
+            if w.par[cur] >> u & 1:
                 return True
-            if st.d_step(u, cur):  # banned line traversed forward
-                seen.add(u)
+            if w.sib[cur] >> u & 1 and w.ban[u] >> cur & 1:  # banned line traversed forward
+                seen |= 1 << u
                 if back(u):
                     return True
         return False
@@ -233,59 +219,76 @@ def feasible_semislide_exists(a: AnnotatedPattern, target: str,
         raise GraphError("target and excluded neighbor must be distinct")
     if not a.graph.is_line(target, excluded_neighbor):
         raise GraphError("expected a line between target and excluded neighbor")
-    return _semislide_exists(_State(a.graph, a.bans), target, excluded_neighbor)
+    index = a.graph.index_of
+    return _semislide_exists(_working(a), index(target), index(excluded_neighbor))
 
 
-def _transitivity(st: _State, trace=None) -> None:
+def _transitivity(w: _WorkingGraph, trace=None) -> None:
     """Add every ban the transitivity principle forces, to a fixpoint."""
     changed = True
     while changed:
         changed = False
-        for u, v in st.lines():
-            for x, y in ((u, v), (v, u)):
-                if (x, y) in st.bans:
-                    continue
-                if _semislide_exists(st, x, y):
-                    st.bans.add((x, y))
-                    changed = True
-                    if trace is not None:
-                        trace(("ban", x, y))
+        for u in range(len(w.nodes)):
+            for v in _bits(w.sib[u] & ~((2 << u) - 1)):  # each line once, as u < v
+                for x, y in ((u, v), (v, u)):
+                    if not w.ban[x] >> y & 1 and _semislide_exists(w, x, y):
+                        w.ban[x] |= 1 << y
+                        changed = True
+                        if trace is not None:
+                            trace(("ban", w.nodes[x], w.nodes[y]))
 
 
 def transitivity_fixpoint(a: AnnotatedPattern) -> AnnotatedPattern:
-    st = _State(a.graph, a.bans)
-    _transitivity(st)
-    return st.snapshot()
+    w = _working(a)
+    _transitivity(w)
+    nodes = w.nodes
+    bans = frozenset((nodes[u], nodes[v]) for u in range(len(nodes)) for v in _bits(w.ban[u]))
+    return AnnotatedPattern(w.to_graph(), bans)
 
 
-def _necessity(st: _State, limit: int) -> Directing | None:
+def _directing(w: _WorkingGraph, rule: str, found) -> Directing | None:
+    """The found (tail, head, witness) as a Directing; a banned direction
+    signals an invalid pattern.
+    """
+    if found is None:
+        return None
+    tail, head, witness = found
+    nodes = w.nodes
+    if w.ban[head] >> tail & 1:
+        raise InvalidPatternError(
+            f"{rule} demands {nodes[tail]}->{nodes[head]}, which is banned")
+    return Directing(rule, nodes[tail], nodes[head], tuple(nodes[i] for i in witness))
+
+
+def _necessity(w: _WorkingGraph, limit: int):
     """Find a necessity-principle pseudocycle; ``limit`` caps node visits."""
-    nodes = st.nodes
-    max_steps = 2 * len(nodes) + 2
+    n = len(w.nodes)
+    max_steps = 2 * n + 2
 
-    for r0 in nodes:
-        for r1 in st.neighbors[r0]:
-            if not st.is_arrow(r0, r1):
-                continue
-            counts = {r1: 1}
+    for r0 in range(n):
+        for r1 in _bits(w.chi[r0]):
+            counts = [0] * n
+            counts[r1] = 1
 
-            def walk(cur: str, steps: int, designated) -> Directing | None:
+            def walk(cur: int, steps: int, designated):
                 if steps > max_steps:
                     return None
-                for nxt in st.neighbors[cur]:
-                    d_ok = st.d_step(cur, nxt)
-                    line_ok = designated is None and st.is_line(cur, nxt)
+                d = w.d_step(cur)
+                lines = w.sib[cur] if designated is None else 0
+                for nxt in _bits(d | lines):
+                    d_ok = d >> nxt & 1
+                    line_ok = lines >> nxt & 1
                     if nxt == r0:
                         if steps + 1 >= 3:
                             if d_ok and designated is not None:
                                 a, b = designated
-                                return Directing("necessity", b, a, (r0, r1, cur))
+                                return b, a, (r0, r1, cur)
                             if line_ok:
-                                return Directing("necessity", r0, cur, (r0, r1, cur))
+                                return r0, cur, (r0, r1, cur)
                         continue
-                    if counts.get(nxt, 0) >= limit:
+                    if counts[nxt] >= limit:
                         continue
-                    counts[nxt] = counts.get(nxt, 0) + 1
+                    counts[nxt] += 1
                     if d_ok:
                         found = walk(nxt, steps + 1, designated)
                         if found:
@@ -303,138 +306,127 @@ def _necessity(st: _State, limit: int) -> Directing | None:
     return None
 
 
-def necessity_step(a: AnnotatedPattern | _State) -> Directing | None:
+def necessity_step(a: AnnotatedPattern | _WorkingGraph) -> Directing | None:
     """One necessity-principle directing, or None.
 
-    Searches simple pseudocycles first, then widens to routes visiting each
-    node at most twice.  The demanded direction being banned signals an
-    invalid pattern.
+    Accepts an :class:`AnnotatedPattern` or the mask working graph of
+    :func:`recover_largest`.  Searches simple pseudocycles first, then
+    widens to routes visiting each node at most twice.  The demanded
+    direction being banned signals an invalid pattern.
     """
-    st = a if isinstance(a, _State) else _State(a.graph, a.bans)
-    found = _necessity(st, 1) or _necessity(st, 2)
-    if found and (found.head, found.tail) in st.bans:
-        raise InvalidPatternError(f"necessity demands {found.tail}->{found.head}, which is banned")
-    return found
+    w = _working(a)
+    return _directing(w, "necessity", _necessity(w, 1) or _necessity(w, 2))
 
 
-def _semislide_with_anchor(st: _State, r0: str, r1: str, rk: str) -> bool:
+def _semislide_with_anchor(w: _WorkingGraph, r0: int, r1: int, rk: int) -> bool:
     """Feasible semislide s0, ..., sm = r1 with s0 != r0 and an index
     n <= m-1 where {rk, s_n} is an edge and no edge joins r0 to s0 .. s_n.
     """
+    near_r0, near_rk = w.adj(r0), w.adj(rk)
 
     def forward(cur, seen, clear, qualified):
         # clear: every node so far is nonadjacent to r0
-        for nxt in st.neighbors[cur]:
-            if not st.d_step(cur, nxt) or nxt in seen:
-                continue
+        for nxt in _bits(w.d_step(cur) & ~seen):
             if nxt == r1:
                 if qualified:
                     return True
                 continue
-            if forward(nxt, seen | {nxt}, clear and not st.adjacent(nxt, r0),
-                       qualified or (clear and not st.adjacent(nxt, r0)
-                                     and st.adjacent(rk, nxt))):
+            c = clear and not near_r0 >> nxt & 1
+            if forward(nxt, seen | 1 << nxt, c, qualified or (c and near_rk >> nxt & 1)):
                 return True
         return False
 
-    for s0 in st.nodes:
+    for s0 in range(len(w.nodes)):
         if s0 == r0:
             continue
-        clear0 = not st.adjacent(s0, r0)
-        qualified0 = clear0 and st.adjacent(rk, s0)
-        for s1 in st.neighbors[s0]:
-            if not st.is_arrow(s0, s1):
-                continue
+        clear0 = not near_r0 >> s0 & 1
+        qualified0 = clear0 and near_rk >> s0 & 1
+        for s1 in _bits(w.chi[s0]):
             if s1 == r1:
                 if qualified0:
                     return True
                 continue
-            if forward(s1, {s0, s1},
-                       clear0 and not st.adjacent(s1, r0),
-                       qualified0 or (clear0 and not st.adjacent(s1, r0)
-                                      and st.adjacent(rk, s1))):
+            c = clear0 and not near_r0 >> s1 & 1
+            if forward(s1, 1 << s0 | 1 << s1, c, qualified0 or (c and near_rk >> s1 & 1)):
                 return True
     return False
 
 
-def _doublecycle(st: _State, limit: int) -> Directing | None:
+def _doublecycle(w: _WorkingGraph, limit: int):
     """Find a doublecycle-principle configuration; ``limit`` caps visits
-    on the pseudocycle prefix.
+    on the pseudocycle prefix r0 -> r1 ... last.
     """
-    max_steps = 2 * len(st.nodes) + 2
+    n = len(w.nodes)
+    max_steps = 2 * n + 2
 
-    for r0 in st.nodes:
-        for r1 in st.neighbors[r0]:
-            if not st.is_arrow(r0, r1):
-                continue
-            counts = {r0: 1, r1: 1}
+    for r0 in range(n):
+        for r1 in _bits(w.chi[r0]):
+            counts = [0] * n
+            counts[r0] = counts[r1] = 1
 
-            def walk(path: list[str]) -> Directing | None:
-                last = path[-1]
-                for rk in st.neighbors[last]:
-                    if (st.is_line(last, rk) and st.is_line(rk, r0)
-                            and counts.get(rk, 0) == 0 and len(path) >= 2):
-                        if _semislide_with_anchor(st, r0, path[1], rk):
-                            return Directing("doublecycle", rk, last, (r0, path[1], rk))
-                if len(path) >= max_steps:
+            def walk(last: int, length: int):
+                for rk in _bits(w.sib[last] & w.sib[r0]):
+                    if not counts[rk] and _semislide_with_anchor(w, r0, r1, rk):
+                        return rk, last, (r0, r1, rk)
+                if length >= max_steps:
                     return None
-                for nxt in st.neighbors[last]:
-                    if not st.d_step(last, nxt) or counts.get(nxt, 0) >= limit:
+                for nxt in _bits(w.d_step(last)):
+                    if counts[nxt] >= limit:
                         continue
-                    counts[nxt] = counts.get(nxt, 0) + 1
-                    found = walk(path + [nxt])
+                    counts[nxt] += 1
+                    found = walk(nxt, length + 1)
                     if found:
                         return found
                     counts[nxt] -= 1
                 return None
 
-            found = walk([r0, r1])
+            found = walk(r1, 2)
             if found:
                 return found
     return None
 
 
-def doublecycle_step(a: AnnotatedPattern | _State) -> Directing | None:
-    """One doublecycle-principle directing, or None."""
-    st = a if isinstance(a, _State) else _State(a.graph, a.bans)
-    found = _doublecycle(st, 1) or _doublecycle(st, 2)
-    if found and (found.head, found.tail) in st.bans:
-        raise InvalidPatternError(
-            f"doublecycle demands {found.tail}->{found.head}, which is banned")
-    return found
+def doublecycle_step(a: AnnotatedPattern | _WorkingGraph) -> Directing | None:
+    """One doublecycle-principle directing, or None.
+
+    Accepts an :class:`AnnotatedPattern` or the mask working graph of
+    :func:`recover_largest`.
+    """
+    w = _working(a)
+    return _directing(w, "doublecycle", _doublecycle(w, 1) or _doublecycle(w, 2))
 
 
 _RULES = {"necessity": necessity_step, "doublecycle": doublecycle_step}
 
 
 def recover_largest(g0: HybridGraph, order=("necessity", "doublecycle"),
-                    trace=None, validate: bool = True) -> HybridGraph:
+                    trace=None) -> HybridGraph:
     """Stage 2: largest chain graph from a pattern.
 
     Loops ban-fixpoint, then one directing by the first applicable rule in
-    ``order``, until neither rule fires.  Validation is post hoc: the
-    result must be a chain graph whose pattern equals the input.
+    ``order``, until neither rule fires.  The result is always validated:
+    it must be a chain graph whose pattern equals the input, or
+    :class:`InvalidPatternError` is raised.
     """
     for rule in order:
         if rule not in _RULES:
             raise ValueError(f"unknown rule {rule!r}")
-    st = _State(g0)
+    w = _WorkingGraph.of(g0)
     while True:
-        _transitivity(st, trace)
+        _transitivity(w, trace)
         directing = None
         for rule in order:
-            directing = _RULES[rule](st)
+            directing = _RULES[rule](w)
             if directing is not None:
                 break
         if directing is None:
             break
-        st.direct(directing)
+        w.direct(w.nodes.index(directing.tail), w.nodes.index(directing.head))
         if trace is not None:
             trace((directing.rule, directing.tail, directing.head, directing.witness))
-    result = st.to_graph()
-    if validate:
-        if not is_chain_graph(result) or pattern_of(result) != g0:
-            raise InvalidPatternError("input is not the pattern of a Markov-equivalence class")
+    result = w.to_graph()
+    if not is_chain_graph(result) or pattern_of(result) != g0:
+        raise InvalidPatternError("input is not the pattern of a Markov-equivalence class")
     return result
 
 

@@ -8,8 +8,6 @@ from chaingraphs import (
     Triplet,
     arrow,
     build_graph,
-    cg_fast_complex_test,
-    cg_fast_dep_all,
     component_chain,
     dep_all,
     dep_plus,
@@ -81,25 +79,6 @@ def test_dep_plus(ga, gc):
     assert dep_plus(mc, "u", "v", "q")
     with pytest.raises(ValueError):
         dep_plus(m, "a", "a", "b")
-
-
-def test_fast_paths_match_predicates(cgs3):
-    for g in cgs3:
-        m = CGBackedModel(g)
-        nodes = g.nodes
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1:]:
-                assert cg_fast_dep_all(g, u, v) == dep_all(m, u, v)
-                for w in nodes:
-                    if w in (u, v) or not g.has_edge(u, w) or not g.has_edge(v, w) \
-                            or g.has_edge(u, v):
-                        continue
-                    assert cg_fast_complex_test(g, u, w, v) == dep_plus(m, u, v, w)
-
-
-def test_fast_complex_test_hypothesis_violated(ga):
-    with pytest.raises(GraphError):
-        cg_fast_complex_test(ga, "a", "d", "b")  # {a, b} is an edge
 
 
 def test_input_list_ga(ga):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chaingraphs import (
@@ -10,8 +12,11 @@ from chaingraphs import (
     build_graph,
     doublecycle_step,
     feasible_semislide_exists,
+    is_chain_graph,
+    is_larger,
     largest_cg_oracle,
     line,
+    markov_equivalent,
     necessity_step,
     pattern_of,
     recover_end_to_end,
@@ -19,6 +24,7 @@ from chaingraphs import (
     recover_pattern,
     transitivity_fixpoint,
 )
+from chaingraphs.enumeration import random_chain_graph
 
 
 def test_recover_pattern_fixtures(ga, ge, gc):
@@ -118,6 +124,28 @@ def test_recover_largest_order_swap(ga, ge, gc, cgs4):
         default = recover_largest(pat)
         swapped = recover_largest(pat, order=("doublecycle", "necessity"))
         assert default == swapped
+
+
+def test_recover_largest_beyond_5_nodes():
+    # the brute-force oracle costs 3^(pattern lines), so it runs only on
+    # graphs with at most 12 edges; the graphical checks run on all
+    fired = set()
+    for n in range(6, 11):
+        rng = random.Random(8000 + n)
+        labels = [f"v{i}" for i in range(n)]
+        for _ in range(8):
+            g = random_chain_graph(rng, labels, p_edge=0.4)
+            pat = pattern_of(g)
+            want = largest_cg_oracle(g) if len(g.edges) <= 12 else None
+            for order in (("necessity", "doublecycle"), ("doublecycle", "necessity")):
+                events = []
+                h = recover_largest(pat, order=order, trace=events.append)
+                fired |= {e[0] for e in events}
+                assert is_chain_graph(h)
+                assert markov_equivalent(h, g)
+                assert is_larger(g, h)
+                assert want is None or h == want
+    assert fired == {"ban", "necessity", "doublecycle"}
 
 
 def test_recover_largest_trace(gc):
