@@ -9,7 +9,6 @@ and the complex set; the pattern keeps exactly the complex arrows directed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 from .graph import (
@@ -18,6 +17,7 @@ from .graph import (
     HybridGraph,
     NotChainGraphError,
     _bits,
+    _reach,
     is_chain_graph,
     underlying,
 )
@@ -151,9 +151,15 @@ def is_larger(h: HybridGraph, g: HybridGraph) -> bool:
 def equivalence_class(g: HybridGraph, max_edges: int = 12) -> list[HybridGraph]:
     """Brute-force oracle: all chain graphs Markov equivalent to ``g``.
 
-    Enumerates every orientation of the skeleton with the complex arrows
-    pinned to their pattern orientation, keeping chain graphs whose complex
-    set matches.  Deterministic order; always contains ``g``.
+    A depth-first search over the lines of the pattern (the complex arrows
+    stay pinned) gives each line a kind in turn: line, forward arrow,
+    backward arrow.  A branch is cut as soon as its assigned edges hold a
+    directed pseudocycle, or once every edge of a chordless skeleton path
+    is assigned and the path is a complex in one of ``g`` and the branch
+    but not in the other.  Each leaf is still built and kept only if it is
+    a chain graph with ``g``'s complex set.  Members come out in
+    lexicographic order of their kind assignments, first pattern line most
+    significant; the result always contains ``g``.
     """
     if not is_chain_graph(g):
         raise NotChainGraphError("equivalence class is defined for chain graphs")
@@ -164,15 +170,74 @@ def equivalence_class(g: HybridGraph, max_edges: int = 12) -> list[HybridGraph]:
     fixed = {pair: kind for pair, kind in pat.edges.items() if kind is not EdgeKind.LINE}
     free = [pair for pair, kind in pat.edges.items() if kind is EdgeKind.LINE]
     kinds = (EdgeKind.LINE, EdgeKind.ARROW_FORWARD, EdgeKind.ARROW_BACKWARD)
+    n = len(g)
+    ends = [(g.index_of(u), g.index_of(v)) for u, v in free]
+    # each chordless skeleton path is checked once its last free edge is
+    # set; a path of pinned arrows only is a complex as it is in g
+    position = {pair: p for p, pair in enumerate(ends)}
+    adj = [g.adj_mask(i) for i in range(n)]
+    is_target = {tuple(g.index_of(x) for x in cpx.path) for cpx in target}
+    checks: list[list[tuple[tuple[int, ...], bool]]] = [[] for _ in free]
+    for path in _chordless_paths(adj, adj, adj, (1 << n) - 1):
+        last = max(position.get((min(x, y), max(x, y)), -1) for x, y in zip(path, path[1:]))
+        if last >= 0:
+            checks[last].append((path, path in is_target))
+    # the assigned edges as masks, starting from the pinned arrows
+    sib = [0] * n
+    par = list(pat.par_masks)
+    chi = list(pat.chi_masks)
     members = []
-    for assignment in product(kinds, repeat=len(free)):
-        edges = dict(fixed)
-        edges.update(zip(free, assignment))
-        cand = HybridGraph(g.nodes, edges)
-        if is_chain_graph(cand) and enumerate_complexes(cand) == target:
-            members.append(cand)
+    choice = [-1] * len(free)  # kind index set at each position, -1 for none
+    pos = 0
+    while pos >= 0:
+        if pos == len(free):
+            edges = dict(fixed)
+            edges.update(zip(free, (kinds[c] for c in choice)))
+            cand = HybridGraph(g.nodes, edges)
+            if is_chain_graph(cand) and enumerate_complexes(cand) == target:
+                members.append(cand)
+            pos -= 1
+            continue
+        i, j = ends[pos]
+        c = choice[pos]
+        if c >= 0:
+            _toggle(sib, par, chi, i, j, c)
+        c += 1
+        if c == len(kinds):
+            choice[pos] = -1
+            pos -= 1
+            continue
+        choice[pos] = c
+        _toggle(sib, par, chi, i, j, c)
+        # a new pseudocycle passes i: a closed descending walk i ~> t -> h ~> i,
+        # so the arrow t -> h lies inside desc(i) & anc(i)
+        loop = (_reach([x | y for x, y in zip(chi, sib)], 1 << i)
+                & _reach([x | y for x, y in zip(par, sib)], 1 << i))
+        if any(chi[t] & loop for t in _bits(loop)):
+            continue
+        if all(_is_complex(p, sib, par) == want for p, want in checks[pos]):
+            pos += 1
     assert g in members
     return members
+
+
+def _toggle(sib: list[int], par: list[int], chi: list[int], i: int, j: int, c: int) -> None:
+    """Add, or remove again, the edge i, j of kind index ``c``: 0 the line,
+    1 the arrow i -> j, 2 the arrow j -> i."""
+    if c == 0:
+        sib[i] ^= 1 << j
+        sib[j] ^= 1 << i
+    else:
+        tail, head = (i, j) if c == 1 else (j, i)
+        chi[tail] ^= 1 << head
+        par[head] ^= 1 << tail
+
+
+def _is_complex(path: tuple[int, ...], sib: list[int], par: list[int]) -> bool:
+    """Whether the chordless path (a, w1, ..., wl, b) is a complex: arrows
+    a -> w1 and b -> wl, and lines along w1 - ... - wl."""
+    return bool(par[path[1]] >> path[0] & par[path[-2]] >> path[-1] & 1) and all(
+        sib[x] >> y & 1 for x, y in zip(path[1:-2], path[2:-1]))
 
 
 def largest_cg_oracle(g: HybridGraph, max_edges: int = 12) -> HybridGraph:

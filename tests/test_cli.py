@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -162,6 +163,17 @@ def test_class(files, capsys):
     assert run(["class", files["ga.cg"]]) == 0
     out = capsys.readouterr().out
     assert out.count("nodes a b c d") == 8
+
+
+def test_class_over_bound_exit_2(tmp_path, capsys):
+    # 13 of the 15 lines on six nodes: an undirected graph, so a chain graph
+    pairs = list(combinations("abcdef", 2))[:13]
+    path = tmp_path / "big.cg"
+    path.write_text("nodes a b c d e f\n" + "".join(f"{u} -- {v}\n" for u, v in pairs))
+    assert run(["class", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 13 edges exceeds bound 12\n"
 
 
 def test_dot_export(files, tmp_path, capsys):
