@@ -11,7 +11,14 @@ complexes, run on the working graph's line and arrow bitmasks.
 
 Stage 2 turns the pattern into the largest chain graph of the class by
 alternating orientation bans (transitivity principle) with line directing
-(necessity and doublecycle principles); bans have priority.
+(necessity and doublecycle principles); bans have priority.  Each rule's
+search is a reachability question over d-steps (arrows, and lines walked
+along their ban) answered by one mask breadth-first search (``_reach``).
+Searching walks rather than simple routes gives the same answers on
+states reached from a pattern: cutting a repeated loop out of a walk
+leaves a walk of the same kind, unless the loop holds the free line, and
+then cutting it leaves a directed pseudocycle through r0 -> r1 made of
+arrows and banned lines, which such a state cannot hold.
 
 Both stages run on one mutable mask working graph: per-node line, parent
 and child bitmasks plus a ban mask per node.  Neighbours are visited in
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 
 from .complexes import _chordless_paths, pattern_of
 from .depmodel import DependencyModel, dep_all, dep_plus
-from .graph import EdgeKind, GraphError, HybridGraph, _bits, is_chain_graph
+from .graph import EdgeKind, GraphError, HybridGraph, _bits, _reach, is_chain_graph
 
 __all__ = [
     "PatternConflictError",
@@ -186,30 +193,29 @@ def _working(a: AnnotatedPattern | _WorkingGraph) -> _WorkingGraph:
     return a if isinstance(a, _WorkingGraph) else _WorkingGraph.of(a.graph, a.bans)
 
 
-def _semislide_exists(w: _WorkingGraph, target: int, excluded: int) -> bool:
+def _transpose(step: list[int]) -> list[int]:
+    """The reversed relation: bit u of ``into[v]`` iff bit v of ``step[u]``."""
+    into = [0] * len(step)
+    for u, succ in enumerate(step):
+        for v in _bits(succ):
+            into[v] |= 1 << u
+    return into
+
+
+def _semislide_exists(w: _WorkingGraph, target: int, excluded: int,
+                      banned_into: list[int]) -> bool:
     """Feasible semislide w1, ..., wk = target whose head step is a genuine
     arrow, with no edge between ``excluded`` and any of w1 .. w_{k-1}.
 
-    Backward simple-path search over the auxiliary directed relation; a
-    repeated node never enables a new head, so simple paths suffice.
+    Reach back from ``target`` along banned lines (``banned_into`` is
+    ``_transpose(w.ban)``), outside the neighbours of ``excluded``; a
+    reached node with a parent out there is the head.
     """
     avoid = w.adj(excluded) | 1 << excluded
-    seen = 1 << target
-
-    def back(cur: int) -> bool:
-        nonlocal seen
-        for u in _bits(w.adj(cur) & ~avoid):
-            if seen >> u & 1:
-                continue
-            if w.par[cur] >> u & 1:
-                return True
-            if w.sib[cur] >> u & 1 and w.ban[u] >> cur & 1:  # banned line traversed forward
-                seen |= 1 << u
-                if back(u):
-                    return True
-        return False
-
-    return back(target)
+    heads = 0
+    for v in _bits(_reach(banned_into, 1 << target, avoid)):
+        heads |= w.par[v]
+    return bool(heads & ~avoid)
 
 
 def feasible_semislide_exists(a: AnnotatedPattern, target: str,
@@ -219,20 +225,22 @@ def feasible_semislide_exists(a: AnnotatedPattern, target: str,
         raise GraphError("target and excluded neighbor must be distinct")
     if not a.graph.is_line(target, excluded_neighbor):
         raise GraphError("expected a line between target and excluded neighbor")
-    index = a.graph.index_of
-    return _semislide_exists(_working(a), index(target), index(excluded_neighbor))
+    index, w = a.graph.index_of, _working(a)
+    return _semislide_exists(w, index(target), index(excluded_neighbor), _transpose(w.ban))
 
 
 def _transitivity(w: _WorkingGraph, trace=None) -> None:
     """Add every ban the transitivity principle forces, to a fixpoint."""
+    banned_into = _transpose(w.ban)
     changed = True
     while changed:
         changed = False
         for u in range(len(w.nodes)):
             for v in _bits(w.sib[u] & ~((2 << u) - 1)):  # each line once, as u < v
                 for x, y in ((u, v), (v, u)):
-                    if not w.ban[x] >> y & 1 and _semislide_exists(w, x, y):
+                    if not w.ban[x] >> y & 1 and _semislide_exists(w, x, y, banned_into):
                         w.ban[x] |= 1 << y
+                        banned_into[y] |= 1 << x
                         changed = True
                         if trace is not None:
                             trace(("ban", w.nodes[x], w.nodes[y]))
@@ -260,49 +268,20 @@ def _directing(w: _WorkingGraph, rule: str, found) -> Directing | None:
     return Directing(rule, nodes[tail], nodes[head], tuple(nodes[i] for i in witness))
 
 
-def _necessity(w: _WorkingGraph, limit: int):
-    """Find a necessity-principle pseudocycle; ``limit`` caps node visits."""
+def _necessity(w: _WorkingGraph):
+    """Find a necessity-principle pseudocycle r0 -> r1 => a - b => r0."""
     n = len(w.nodes)
-    max_steps = 2 * n + 2
-
+    d = [w.d_step(u) for u in range(n)]
+    into = _transpose(d)
     for r0 in range(n):
+        if not w.chi[r0]:
+            continue
+        back = _reach(into, 1 << r0)
         for r1 in _bits(w.chi[r0]):
-            counts = [0] * n
-            counts[r1] = 1
-
-            def walk(cur: int, steps: int, designated):
-                if steps > max_steps:
-                    return None
-                d = w.d_step(cur)
-                lines = w.sib[cur] if designated is None else 0
-                for nxt in _bits(d | lines):
-                    d_ok = d >> nxt & 1
-                    line_ok = lines >> nxt & 1
-                    if nxt == r0:
-                        if steps + 1 >= 3:
-                            if d_ok and designated is not None:
-                                a, b = designated
-                                return b, a, (r0, r1, cur)
-                            if line_ok:
-                                return r0, cur, (r0, r1, cur)
-                        continue
-                    if counts[nxt] >= limit:
-                        continue
-                    counts[nxt] += 1
-                    if d_ok:
-                        found = walk(nxt, steps + 1, designated)
-                        if found:
-                            return found
-                    if line_ok:
-                        found = walk(nxt, steps + 1, (cur, nxt))
-                        if found:
-                            return found
-                    counts[nxt] -= 1
-                return None
-
-            found = walk(r1, 1, None)
-            if found:
-                return found
+            for a in _bits(_reach(d, 1 << r1, avoid=1 << r0)):
+                line = w.sib[a] & back
+                if line:
+                    return (line & -line).bit_length() - 1, a, (r0, r1, a)
     return None
 
 
@@ -310,12 +289,13 @@ def necessity_step(a: AnnotatedPattern | _WorkingGraph) -> Directing | None:
     """One necessity-principle directing, or None.
 
     Accepts an :class:`AnnotatedPattern` or the mask working graph of
-    :func:`recover_largest`.  Searches simple pseudocycles first, then
-    widens to routes visiting each node at most twice.  The demanded
+    :func:`recover_largest`.  For each arrow r0 -> r1 it reaches forward
+    from r1 and back from r0 along d-steps; the first line a - b with a
+    reached from r1 and b reaching r0 is directed b -> a.  The demanded
     direction being banned signals an invalid pattern.
     """
     w = _working(a)
-    return _directing(w, "necessity", _necessity(w, 1) or _necessity(w, 2))
+    return _directing(w, "necessity", _necessity(w))
 
 
 def _semislide_with_anchor(w: _WorkingGraph, r0: int, r1: int, rk: int) -> bool:
@@ -352,37 +332,18 @@ def _semislide_with_anchor(w: _WorkingGraph, r0: int, r1: int, rk: int) -> bool:
     return False
 
 
-def _doublecycle(w: _WorkingGraph, limit: int):
-    """Find a doublecycle-principle configuration; ``limit`` caps visits
-    on the pseudocycle prefix r0 -> r1 ... last.
+def _doublecycle(w: _WorkingGraph):
+    """Find a doublecycle-principle configuration: a prefix r0 -> r1 => last
+    with a line last - rk - r0, and an anchored semislide into r1.
     """
     n = len(w.nodes)
-    max_steps = 2 * n + 2
-
+    d = [w.d_step(u) for u in range(n)]
     for r0 in range(n):
         for r1 in _bits(w.chi[r0]):
-            counts = [0] * n
-            counts[r0] = counts[r1] = 1
-
-            def walk(last: int, length: int):
-                for rk in _bits(w.sib[last] & w.sib[r0]):
-                    if not counts[rk] and _semislide_with_anchor(w, r0, r1, rk):
-                        return rk, last, (r0, r1, rk)
-                if length >= max_steps:
-                    return None
-                for nxt in _bits(w.d_step(last)):
-                    if counts[nxt] >= limit:
-                        continue
-                    counts[nxt] += 1
-                    found = walk(nxt, length + 1)
-                    if found:
-                        return found
-                    counts[nxt] -= 1
-                return None
-
-            found = walk(r1, 2)
-            if found:
-                return found
+            for rk in _bits(w.sib[r0]):
+                last = _reach(d, 1 << r1, avoid=1 << r0 | 1 << rk) & w.sib[rk]
+                if last and _semislide_with_anchor(w, r0, r1, rk):
+                    return rk, (last & -last).bit_length() - 1, (r0, r1, rk)
     return None
 
 
@@ -390,10 +351,13 @@ def doublecycle_step(a: AnnotatedPattern | _WorkingGraph) -> Directing | None:
     """One doublecycle-principle directing, or None.
 
     Accepts an :class:`AnnotatedPattern` or the mask working graph of
-    :func:`recover_largest`.
+    :func:`recover_largest`.  For each arrow r0 -> r1 and line r0 - rk it
+    looks for a node last reached from r1 by d-steps that avoid r0 and rk,
+    with a line last - rk, and then for an anchored semislide into r1; the
+    line rk - last is directed rk -> last.
     """
     w = _working(a)
-    return _directing(w, "doublecycle", _doublecycle(w, 1) or _doublecycle(w, 2))
+    return _directing(w, "doublecycle", _doublecycle(w))
 
 
 _RULES = {"necessity": necessity_step, "doublecycle": doublecycle_step}

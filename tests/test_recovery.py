@@ -108,6 +108,14 @@ def test_doublecycle_step_none_on_empty():
     assert doublecycle_step(AnnotatedPattern(ug)) is None
 
 
+def test_doublecycle_needs_anchor_adjacent_to_rk():
+    # d -> b with the lines b - a - d: r0 = d, r1 = last = b, rk = a.  The
+    # only semislide into b is c -> b, and c is not adjacent to rk = a, so
+    # nothing may be directed
+    g = build_graph("abcd", [line("a", "b"), line("a", "d"), arrow("c", "b"), arrow("d", "b")])
+    assert doublecycle_step(AnnotatedPattern(g, frozenset({("a", "b")}))) is None
+
+
 def test_recover_largest_fixtures(ga, ge, gc):
     for g in (ga, ge, gc):
         assert recover_largest(pattern_of(g)) == largest_cg_oracle(g)
