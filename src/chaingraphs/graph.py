@@ -313,27 +313,34 @@ def induced_subgraph(g: HybridGraph, t: Iterable[str]) -> HybridGraph:
     return HybridGraph(t, edges)
 
 
+def _component_masks(g: HybridGraph) -> tuple[list[int], list[int]]:
+    """Per node index: the node's connectivity component, and the parents
+    of that component, as masks."""
+    try:
+        return g._cache["comp_masks"]
+    except KeyError:
+        pass
+    comp = [0] * len(g)
+    comp_par = [0] * len(g)
+    for i in range(len(g)):
+        if not comp[i]:
+            c = _reach(g.sib_masks, 1 << i)
+            p = 0
+            for j in _bits(c):
+                p |= g.par_masks[j]
+            for j in _bits(c):
+                comp[j], comp_par[j] = c, p
+    g._cache["comp_masks"] = comp, comp_par
+    return comp, comp_par
+
+
 def components(g: HybridGraph) -> list[frozenset[str]]:
     """Connectivity components of the line-only subgraph.
 
     Ordered canonically by each component's smallest member label.
     """
-    try:
-        return g._cache["components"]
-    except KeyError:
-        pass
-    n = len(g)
-    seen = 0
-    comps = []
-    for i in range(n):
-        if seen >> i & 1:
-            continue
-        comp = _reach(g.sib_masks, 1 << i)
-        seen |= comp
-        comps.append(g.labels_of(comp))
-    comps.sort(key=min)
-    g._cache["components"] = comps
-    return comps
+    comp = _component_masks(g)[0]
+    return [g.labels_of(comp[i]) for i in range(len(g)) if comp[i] & -comp[i] == 1 << i]
 
 
 def _component_ids(g: HybridGraph) -> list[int]:
@@ -364,15 +371,25 @@ def _condensation(g: HybridGraph) -> tuple[list[frozenset[str]], list[set[int]],
 def is_chain_graph(g: HybridGraph) -> bool:
     """True iff ``g`` has no directed pseudocycle.
 
-    Checked as: no arrow joins two nodes of one connectivity component, and
-    the component condensation by arrows is acyclic.
+    Checked on masks by peeling off connectivity components whose parents
+    are all peeled already; the graph is a chain graph iff every component
+    peels.  A component holding one of its own parents never does.
     """
     try:
         return g._cache["is_cg"]
     except KeyError:
         pass
-    comps, succ, intra = _condensation(g)
-    ok = not intra and _topo_order(comps, succ) is not None
+    comp, comp_par = _component_masks(g)
+    rest = (1 << len(g)) - 1  # nodes not yet peeled
+    while rest:
+        ready = 0
+        for i in _bits(rest):
+            if not comp_par[i] & rest:
+                ready |= comp[i]
+        if not ready:
+            break
+        rest &= ~ready
+    ok = not rest
     g._cache["is_cg"] = ok
     return ok
 
@@ -467,9 +484,9 @@ def find_directed_pseudocycle(g: HybridGraph) -> list[str] | None:
                 arcs.append((g.index_of(tail), g.index_of(head)))
                 break
     route = [g.nodes[arcs[0][0]]]
+    # the last line path ends at the first tail, closing the route
     for (_, head), (tail2, _) in zip(arcs, arcs[1:] + arcs[:1]):
         route.extend(g.nodes[i] for i in _line_path(g, head, tail2))
-    route.append(route[0])
     return route
 
 

@@ -6,27 +6,33 @@ tests plain undirected separation.  The c-separation criterion instead
 tests every trail between X and Y directly: a trail is separated when one
 of its sections (maximal line runs) is blocked by Z.
 
-``c_represented`` searches for an active trail depth-first and prunes any
-branch as soon as a completed section is blocked, since a blocked section
-separates every trail extending the prefix.  ``enumerate_trails`` is the
-literal, unpruned enumerator the tests cross-check against.
+Each criterion answers a query with one linear search on bitmasks.
+``moralization_represented`` runs one breadth-first search in a moral
+graph built once per graph, with a virtual node standing for the parents
+of each line component.  ``c_represented`` searches over section starts,
+in the manner of Bayes-ball: whether a section may end at a node depends
+only on where it starts, how it was entered and how it is left, never on
+the rest of the trail.  ``enumerate_trails``, ``sections_of`` and
+``section_blocked`` are the literal definitions the tests cross-check
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import complex_parent_pairs, enumerate_complexes
+# complex_parent_pairs is unused here; bench/spans.py patches this name
+from .complexes import complex_parent_pairs, enumerate_complexes  # noqa: F401
 from .graph import (
     EdgeKind,
     GraphError,
     HybridGraph,
     NotChainGraphError,
     _bits,
+    _component_masks,
     _reach,
     components,
     is_chain_graph,
-    underlying,
 )
 from .triplets import Triplet
 
@@ -87,28 +93,49 @@ def ug_separated(u_graph: HybridGraph, t: Triplet) -> bool:
     return not reach & u_graph.mask_of(t.Y)
 
 
-def _moral_adj(g: HybridGraph, a_mask: int) -> list[int]:
-    """Moral-graph adjacency masks of the induced subgraph on ``a_mask``."""
-    cache = g._cache.setdefault("moral_adj", {})
+def _moral_steps(g: HybridGraph) -> tuple[list[int], list[int]]:
+    """(adjacency, ancestor masks) of the moral graph with virtual nodes.
+
+    Any two parents of a line component are adjacent or the parents of a
+    complex, so the moral graph joins them all.  Node n + k is a virtual
+    node joined to the parents of the k-th component with two or more
+    parents: a step through it stands for a moral line.  Every ancestral
+    set is a union of whole components, and the ancestor mask of node i
+    carries the virtual bit of each component inside ``anc(i)``.
+    """
     try:
-        return cache[a_mask]
+        return g._cache["moral_steps"]
     except KeyError:
         pass
-    adj = [g.adj_mask(i) & a_mask if a_mask >> i & 1 else 0 for i in range(len(g))]
-    for i, j in complex_parent_pairs(g, a_mask):
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    cache[a_mask] = adj
-    return adj
+    n = len(g)
+    comp, comp_par = _component_masks(g)
+    desc = g.desc_masks
+    step = [g.adj_mask(i) for i in range(n)]
+    anc = list(g.anc_masks)
+    for i in range(n):
+        p = comp_par[i]
+        if comp[i] & -comp[i] == 1 << i and p & (p - 1):
+            bit = 1 << len(step)
+            step.append(p)
+            for j in _bits(p):
+                step[j] |= bit
+            for j in _bits(desc[i]):
+                anc[j] |= bit
+    g._cache["moral_steps"] = step, anc
+    return step, anc
 
 
 def represented_mask(g: HybridGraph, xm: int, ym: int, zm: int) -> bool:
-    """Moralization criterion on bitmask node sets (no validation)."""
-    anc = g.anc_masks
+    """Moralization criterion on bitmask node sets (no validation).
+
+    One breadth-first search from X in the virtual-node moral graph, kept
+    out of Z and out of the ancestral set of X | Y | Z.
+    """
+    step, anc = _moral_steps(g)
     a_mask = 0
     for i in _bits(xm | ym | zm):
         a_mask |= anc[i]
-    return not _reach(_moral_adj(g, a_mask), xm, zm) & ym
+    return not _reach(step, xm, zm | ~a_mask) & ym
 
 
 def moralization_represented(g: HybridGraph, t: Triplet) -> bool:
@@ -211,7 +238,13 @@ def enumerate_trails(g: HybridGraph, x: str, y: str) -> list[Trail]:
         raise GraphError("trail endpoints must differ")
     g.index_of(x)
     g.index_of(y)
-    arcs_at = _arc_incidence(g)
+    arcs_at: list[list[tuple[int, int]]] = [[] for _ in g.nodes]  # (arrow id, other end)
+    for eid, (tail, head) in enumerate(sorted(g.arrows())):
+        ti, hi = g.index_of(tail), g.index_of(head)
+        arcs_at[ti].append((eid, hi))
+        arcs_at[hi].append((eid, ti))
+    for entries in arcs_at:
+        entries.sort(key=lambda e: e[1])
     sib = g.sib_masks
     yi = g.index_of(y)
     nodes = g.nodes
@@ -224,7 +257,7 @@ def enumerate_trails(g: HybridGraph, x: str, y: str) -> list[Trail]:
             path.append(j)
             dfs(j, used, sec_mask | 1 << j, path)
             path.pop()
-        for eid, other, _outgoing in arcs_at[cur]:
+        for eid, other in arcs_at[cur]:
             if used >> eid & 1:
                 continue
             path.append(other)
@@ -234,23 +267,6 @@ def enumerate_trails(g: HybridGraph, x: str, y: str) -> list[Trail]:
     xi = g.index_of(x)
     dfs(xi, 0, 1 << xi, [xi])
     return out
-
-
-def _arc_incidence(g: HybridGraph) -> list[list[tuple[int, int, bool]]]:
-    """Per node: (arrow id, other endpoint, traversal-is-forward) triples."""
-    try:
-        return g._cache["arc_incidence"]
-    except KeyError:
-        pass
-    incidence: list[list[tuple[int, int, bool]]] = [[] for _ in g.nodes]
-    for eid, (tail, head) in enumerate(sorted(g.arrows())):
-        ti, hi = g.index_of(tail), g.index_of(head)
-        incidence[ti].append((eid, hi, True))
-        incidence[hi].append((eid, ti, False))
-    for entries in incidence:
-        entries.sort(key=lambda e: (e[1], not e[2]))
-    g._cache["arc_incidence"] = incidence
-    return incidence
 
 
 # ---------------------------------------------------------------------------
@@ -279,41 +295,6 @@ def slides_to(g: HybridGraph, u: str) -> list[tuple[str, ...]]:
     return out
 
 
-def _slide_masks(g: HybridGraph) -> list[list[int]]:
-    """Per node index: node mask of every slide ending there."""
-    try:
-        return g._cache["slide_masks"]
-    except KeyError:
-        pass
-    out = []
-    for label in g.nodes:
-        out.append([g.mask_of(s) for s in slides_to(g, label)])
-    g._cache["slide_masks"] = out
-    return out
-
-
-def _blocked_mask(g: HybridGraph, sec_mask: int, first: int, last: int,
-                  left_in: bool, right_in: bool, zm: int) -> bool:
-    """Blocking test on mask-level section data."""
-    if left_in and right_in:  # head-to-head: blocked iff no descendant in Z
-        dm = 0
-        for i in _bits(sec_mask):
-            dm |= g.desc_masks[i]
-        return not dm & zm
-    if not sec_mask & zm:
-        return False
-    slide_masks = _slide_masks(g)
-    terminals = []
-    if not left_in:
-        terminals.append(first)
-    if not right_in and last not in terminals:
-        terminals.append(last)
-    for u in terminals:
-        if all(sm & zm for sm in slide_masks[u]):
-            return True
-    return False
-
-
 def section_blocked(g: HybridGraph, trail: Trail, section: Section, z) -> bool:
     """Whether ``section`` of ``trail`` is blocked by the node set ``z``.
 
@@ -326,12 +307,11 @@ def section_blocked(g: HybridGraph, trail: Trail, section: Section, z) -> bool:
     if section not in sections_of(trail):
         raise GraphError("section does not belong to the trail")
     zm = g.mask_of(z)
-    sec_mask = g.mask_of(section.nodes)
-    return _blocked_mask(
-        g, sec_mask,
-        g.index_of(section.nodes[0]), g.index_of(section.nodes[-1]),
-        section.left == "in", section.right == "in", zm,
-    )
+    if section.kind == "head-to-head":
+        return not any(zm & g.desc_masks[g.index_of(u)] for u in section.nodes)
+    if not zm & g.mask_of(section.nodes):
+        return False
+    return any(all(zm & g.mask_of(s) for s in slides_to(g, u)) for u in section.tail_terminals)
 
 
 # ---------------------------------------------------------------------------
@@ -340,32 +320,73 @@ def section_blocked(g: HybridGraph, trail: Trail, section: Section, z) -> bool:
 def c_active_mask(g: HybridGraph, xm: int, ym: int, zm: int) -> bool:
     """True iff some trail from X to Y is active w.r.t. Z (mask level).
 
-    Depth-first trail search; a branch is abandoned the moment a completed
-    section is blocked, because every trail extending it is separated.
+    A search over states (u, h): a section starts at u, entered by an
+    arrowhead iff h.  It runs along lines to some v of u's component C and
+    leaves by an arrow into v (next state: a parent of v, not h), out of v
+    (a child of v, h), or stops at v in Y.  Which v keep it unblocked
+    depends only on u, h and Z:
+
+    - head-to-head: any v iff C has a descendant in Z (``desc`` steps along
+      lines, so this holds for all of C or none of it);
+    - otherwise it is blocked iff it meets Z and has a shielded tail
+      terminal: one in Z, or whose Z-free line component has all its
+      parents in Z (every slide to it meets Z).  Avoiding Z means staying
+      in u's Z-free component F.  So without h, a shielded u confines the
+      section to F; else it may leave into any v of C, and leave out of or
+      stop at any unshielded v or any v of F.
+
+    Each state is expanded once: linear in n, times the mask width.
     """
-    arcs_at = _arc_incidence(g)
-    sib = g.sib_masks
-
-    def dfs(cur: int, used: int, sec_mask: int, first: int, left_in: bool) -> bool:
-        if ym >> cur & 1:
-            if not _blocked_mask(g, sec_mask, first, cur, left_in, False, zm):
-                return True
-        for j in _bits(sib[cur] & ~sec_mask):
-            if dfs(j, used, sec_mask | 1 << j, first, left_in):
-                return True
-        for eid, other, outgoing in arcs_at[cur]:
-            if used >> eid & 1:
-                continue
-            # delimiter at cur: incoming iff the arrow points into cur
-            if _blocked_mask(g, sec_mask, first, cur, left_in, not outgoing, zm):
-                continue
-            if dfs(other, used | 1 << eid, 1 << other, other, outgoing):
-                return True
-        return False
-
-    for x in _bits(xm):
-        if dfs(x, 0, 1 << x, x, False):
+    comp, comp_par = _component_masks(g)
+    par, chi, sib, desc = g.par_masks, g.chi_masks, g.sib_masks, g.desc_masks
+    free = {}       # node outside Z -> (its Z-free component, that part's parents)
+    unshielded = {}  # component meeting Z -> its unshielded nodes
+    n = len(g)
+    # state bits: u for (u, False), n + u for (u, True); todo: not yet expanded
+    seen = todo = xm
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        u = low.bit_length() - 1
+        h = u >= n
+        if h:
+            u -= n
+        c = comp[u]
+        # up: parents of the v the section may leave into; out: the v it
+        # may leave out of or stop at
+        up = comp_par[u]
+        if not c & zm:  # only the head-to-head rule can block
+            out = c
+            if h and not desc[u] & zm:
+                up = 0
+        else:
+            if c not in unshielded:
+                opened = 0
+                rest = c & ~zm
+                while rest:
+                    f = _reach(sib, rest & -rest, zm)
+                    rest &= ~f
+                    p = 0
+                    for i in _bits(f):
+                        p |= par[i]
+                    for i in _bits(f):
+                        free[i] = f, p
+                    if p & ~zm:
+                        opened |= f
+                unshielded[c] = opened
+            f, p = free.get(u, (0, 0))
+            if h or p & ~zm:
+                out = unshielded[c] | f
+            else:  # u shielded: the section avoids Z
+                out, up = f, p
+        if out & ym:
             return True
+        down = 0
+        for v in _bits(out):
+            down |= chi[v]
+        new = (up | down << n) & ~seen
+        seen |= new
+        todo |= new
     return False
 
 

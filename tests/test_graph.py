@@ -20,6 +20,7 @@ from chaingraphs import (
     siblings,
     underlying,
 )
+from chaingraphs.enumeration import all_hybrid_graphs
 
 
 def test_single_node_graph():
@@ -122,6 +123,46 @@ def test_intra_component_arrow_is_pseudocycle():
     assert not is_chain_graph(g)
     cyc = find_directed_pseudocycle(g)
     assert cyc[0] == cyc[-1]
+
+
+def _is_chain_graph_by_condensation(g):
+    """Reference: no arrow inside a connectivity component, and the arrows
+    between components form an acyclic condensation (Kahn's algorithm)."""
+    comp_of = {u: c for c, comp in enumerate(components(g)) for u in comp}
+    succ = {c: set() for c in comp_of.values()}
+    for tail, head in g.arrows():
+        if comp_of[tail] == comp_of[head]:
+            return False
+        succ[comp_of[tail]].add(comp_of[head])
+    indeg = {c: 0 for c in succ}
+    for targets in succ.values():
+        for b in targets:
+            indeg[b] += 1
+    ready = [c for c, d in indeg.items() if d == 0]
+    placed = 0
+    while ready:
+        c = ready.pop()
+        placed += 1
+        for b in succ[c]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                ready.append(b)
+    return placed == len(succ)
+
+
+def test_is_chain_graph_all_four_node_hybrid_graphs():
+    count = 0
+    for g in all_hybrid_graphs("abcd"):
+        count += 1
+        ok = is_chain_graph(g)
+        assert ok == _is_chain_graph_by_condensation(g), g
+        cyc = find_directed_pseudocycle(g)
+        assert (cyc is None) == ok, g
+        if cyc is not None:
+            assert cyc[0] == cyc[-1]
+            assert all(g.has_edge(a, b) and not g.has_arrow(b, a) for a, b in zip(cyc, cyc[1:]))
+            assert any(g.has_arrow(a, b) for a, b in zip(cyc, cyc[1:]))
+    assert count == 4 ** 6
 
 
 def test_component_chain(ge):

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from chaingraphs import (
@@ -5,10 +8,13 @@ from chaingraphs import (
     Section,
     Trail,
     Triplet,
+    all_triplets,
+    ancestral_set,
     arrow,
     build_graph,
     c_represented,
     enumerate_trails,
+    induced_subgraph,
     line,
     moral_graph,
     moral_graph_component_variant,
@@ -170,3 +176,83 @@ def test_dag_collapse_to_d_separation(cgs4):
     for g in dags:
         for t in all_triplets(g.nodes):
             assert c_represented(g, t) == moralization_represented(g, t)
+
+
+def _assert_literal_definitions(g):
+    """Both criteria on every triplet of ``g`` against their definitions.
+
+    c-separation: some x in X, y in Y are joined by a trail from
+    ``enumerate_trails`` with no section that ``section_blocked`` blocks.
+    Moralization: undirected separation in the moral graph of the induced
+    subgraph on the ancestral set of X | Y | Z.
+    """
+    trails = {}
+    blocked = {}   # (section, Z) -> section_blocked
+    active = {}    # (x, y, Z) -> some trail has no blocked section
+    moral = {}     # ancestral set -> its moral graph
+
+    def is_blocked(trail, s, z):
+        if (s, z) not in blocked:
+            blocked[s, z] = section_blocked(g, trail, s, z)
+        return blocked[s, z]
+
+    for t in all_triplets(g.nodes):
+        for x in t.X:
+            for y in t.Y:
+                if (x, y) not in trails:
+                    trails[x, y] = [(tr, sections_of(tr)) for tr in enumerate_trails(g, x, y)]
+                if (x, y, t.Z) not in active:
+                    active[x, y, t.Z] = any(not any(is_blocked(tr, s, t.Z) for s in secs)
+                                            for tr, secs in trails[x, y])
+        literal_c = not any(active[x, y, t.Z] for x in t.X for y in t.Y)
+        a = ancestral_set(g, t.X | t.Y | t.Z)
+        if a not in moral:
+            moral[a] = moral_graph(induced_subgraph(g, a))
+        literal_moral = ug_separated(moral[a], t)
+        assert c_represented(g, t) == literal_c, (g, t)
+        assert moralization_represented(g, t) == literal_moral, (g, t)
+
+
+def test_criteria_match_definitions_on_all_4_node_chain_graphs(cgs4):
+    for g in cgs4:
+        _assert_literal_definitions(g)
+
+
+def test_criteria_match_definitions_on_5_node_sample(reps5):
+    for g in random.Random(7).sample(reps5, 100):
+        _assert_literal_definitions(g)
+
+
+def _chain_graph_with_large_component(rng, n, k):
+    """A chain graph on n nodes whose line component of k nodes, a random
+    tree plus extra lines, sits among singleton blocks: arrows run from
+    earlier to later blocks, so many of them point into the component."""
+    labels = [f"v{i}" for i in range(n)]
+    start = rng.randint(1, n - k)
+    inside = labels[start:start + k]
+    block = {u: min(i, start) if i < start + k else i for i, u in enumerate(labels)}
+    specs = [line(inside[i], inside[rng.randrange(i)]) for i in range(1, k)]
+    tree = {frozenset(spec[:2]) for spec in specs}
+    for u, v in combinations(labels, 2):
+        if frozenset((u, v)) in tree:
+            continue
+        if block[u] == block[v]:
+            if rng.random() < 0.3:
+                specs.append(line(u, v))
+        elif rng.random() < (0.5 if block[v] == start else 0.2):
+            specs.append(arrow(u, v))
+    return build_graph(labels, specs)
+
+
+def test_criteria_agree_beyond_the_trail_search_wall():
+    # A depth-first trail search takes seconds on many such queries at
+    # n = 12; a linear search answers all of them in well under a second.
+    rng = random.Random(12)
+    for n in range(12, 21):
+        for _ in range(4):
+            g = _chain_graph_with_large_component(rng, n, rng.randint(6, 8))
+            for _ in range(25):
+                x, y = rng.sample(g.nodes, 2)
+                z = [u for u in g.nodes if u not in (x, y) and rng.random() < 0.3]
+                t = Triplet([x], [y], z)
+                assert c_represented(g, t) == moralization_represented(g, t), (g, t)
