@@ -18,9 +18,8 @@ from .complexes import (
     markov_equivalent,
     pattern_of,
 )
-from .depmodel import graphoid_closure, input_list, parse_model, semigraphoid_closure
+from .depmodel import CGBackedModel, graphoid_closure, input_list, parse_model, semigraphoid_closure
 from .graph import (
-    GraphError,
     HybridGraph,
     components,
     component_chain,
@@ -28,7 +27,7 @@ from .graph import (
     is_chain_graph,
 )
 from .io import ParseError, parse_graph, serialize_graph, serialize_graphs, to_dot
-from .recovery import recover_largest, recover_pattern
+from .recovery import InvalidPatternError, recover_largest, recover_pattern
 from .separation import c_represented, moral_graph, moralization_represented
 from .triplets import InvalidTripletError, format_triplet, parse_triplet
 
@@ -124,10 +123,6 @@ def _cmd_sep(args) -> int:
     g = _load_graph(args.file)
     _require_cg(g, args.file)
     t = _parse_triplet_arg(args.triplet)
-    try:
-        t.validate_over(g.nodes)
-    except InvalidTripletError as exc:
-        raise _InputError(str(exc)) from exc
     fn = moralization_represented if args.criterion == "moral" else c_represented
     if fn(g, t):
         print("SEPARATED")
@@ -163,7 +158,6 @@ def _trace_sink(enabled: bool):
 
 def _cmd_largest(args) -> int:
     g = _load_graph(args.file)
-    from .recovery import InvalidPatternError
     try:
         result = recover_largest(g, trace=_trace_sink(args.trace))
     except InvalidPatternError as exc:
@@ -173,8 +167,6 @@ def _cmd_largest(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    from .depmodel import CGBackedModel
-    from .recovery import InvalidPatternError, PatternConflictError
     if args.from_cg:
         g = _load_graph(args.from_cg)
         _require_cg(g, args.from_cg)
@@ -182,11 +174,8 @@ def _cmd_recover(args) -> int:
     else:
         model = _load_model(args.model)
         g = None
-    try:
-        pat = recover_pattern(model)
-        result = recover_largest(pat, trace=_trace_sink(args.trace))
-    except (PatternConflictError, InvalidPatternError) as exc:
-        raise _InputError(str(exc)) from exc
+    pat = recover_pattern(model)
+    result = recover_largest(pat, trace=_trace_sink(args.trace))
     _emit_graph(result, args)
     if args.verify:
         if g is None:
@@ -202,11 +191,7 @@ def _cmd_equiv(args) -> int:
     h = _load_graph(args.file2)
     _require_cg(g, args.file1)
     _require_cg(h, args.file2)
-    try:
-        same = markov_equivalent(g, h)
-    except GraphError as exc:
-        raise _InputError(str(exc)) from exc
-    if same:
+    if markov_equivalent(g, h):
         print("EQUIVALENT")
         return 0
     print("NOT EQUIVALENT")
@@ -309,10 +294,7 @@ def run(argv=None) -> int:
         parser.error("pattern needs exactly one of FILE or --model")
     try:
         return args.fn(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, InvalidTripletError, ValueError) as exc:
+    except (_InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -248,7 +248,7 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _closure_masks(seeds, n: int, with_intersection: bool) -> set[tuple[int, int, int]]:
+def _closure_masks(seeds, with_intersection: bool) -> set[tuple[int, int, int]]:
     known: set[tuple[int, int, int]] = set()
     by_x: dict[int, set[tuple[int, int]]] = {}
     queue: deque[tuple[int, int, int]] = deque()
@@ -308,7 +308,7 @@ def graphoid_closure(triplets, nodes, with_intersection: bool = True,
     for t in triplets:
         t.validate_over(labels)
         seeds.append((mask(t.X), mask(t.Y), mask(t.Z)))
-    closed = _closure_masks(seeds, len(labels), with_intersection)
+    closed = _closure_masks(seeds, with_intersection)
 
     def unmask(m: int) -> frozenset[str]:
         return frozenset(labels[i] for i in _bits(m))

@@ -148,9 +148,6 @@ class HybridGraph:
     def __repr__(self) -> str:
         return f"HybridGraph(nodes={self._nodes!r}, edges={self._edges!r})"
 
-    def has_node(self, u: str) -> bool:
-        return u in self._index
-
     def has_edge(self, u: str, v: str) -> bool:
         return _key(u, v) in self._edges
 
@@ -343,31 +340,6 @@ def components(g: HybridGraph) -> list[frozenset[str]]:
     return [g.labels_of(comp[i]) for i in range(len(g)) if comp[i] & -comp[i] == 1 << i]
 
 
-def _component_ids(g: HybridGraph) -> list[int]:
-    """component index per node position, components in canonical order."""
-    comps = components(g)
-    ids = [0] * len(g)
-    for c, comp in enumerate(comps):
-        for label in comp:
-            ids[g.index_of(label)] = c
-    return ids
-
-
-def _condensation(g: HybridGraph) -> tuple[list[frozenset[str]], list[set[int]], bool]:
-    """(components, arrow successors per component, intra-component arrow?)."""
-    comps = components(g)
-    ids = _component_ids(g)
-    succ: list[set[int]] = [set() for _ in comps]
-    intra = False
-    for tail, head in g.arrows():
-        a, b = ids[g.index_of(tail)], ids[g.index_of(head)]
-        if a == b:
-            intra = True
-        else:
-            succ[a].add(b)
-    return comps, succ, intra
-
-
 def is_chain_graph(g: HybridGraph) -> bool:
     """True iff ``g`` has no directed pseudocycle.
 
@@ -394,113 +366,63 @@ def is_chain_graph(g: HybridGraph) -> bool:
     return ok
 
 
-def _topo_order(comps: list[frozenset[str]], succ: list[set[int]]) -> list[int] | None:
-    """Topological order of component ids, smallest-member-label tie rule."""
-    indeg = [0] * len(comps)
-    for srcs in succ:
-        for b in srcs:
-            indeg[b] += 1
-    heap = [(min(comps[c]), c) for c in range(len(comps)) if indeg[c] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        _, c = heapq.heappop(heap)
-        order.append(c)
-        for b in succ[c]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(heap, (min(comps[b]), b))
-    return order if len(order) == len(comps) else None
-
-
-def _line_path(g: HybridGraph, start: int, goal: int) -> list[int]:
-    """Shortest line path between two nodes of one connectivity component."""
-    prev = {start: -1}
-    queue = [start]
-    while queue:
-        nxt = []
-        for i in queue:
-            if i == goal:
-                path = []
-                while i != -1:
-                    path.append(i)
-                    i = prev[i]
-                return path[::-1]
-            for j in _bits(g.sib_masks[i]):
-                if j not in prev:
-                    prev[j] = i
-                    nxt.append(j)
-        queue = nxt
-    raise AssertionError("nodes are not line-connected")
-
-
 def find_directed_pseudocycle(g: HybridGraph) -> list[str] | None:
     """A witnessing directed pseudocycle, as a closed node route, or None.
 
-    The route alternates line paths inside components with the arrows that
-    close a cycle of the component condensation; the first and last labels
-    coincide.
+    An arrow t -> h closes a directed pseudocycle exactly when t is a
+    descendant of h (``desc_masks``).  The route is t, then a shortest
+    descending path from h back to t, found by one breadth-first search
+    over children and siblings; its nodes are distinct and the first and
+    last labels coincide.
     """
     if is_chain_graph(g):
         return None
-    comps, succ, intra = _condensation(g)
-    ids = _component_ids(g)
-    if intra:
-        for tail, head in g.arrows():
-            ti, hi = g.index_of(tail), g.index_of(head)
-            if ids[ti] == ids[hi]:
-                inner = _line_path(g, hi, ti)
-                return [tail] + [g.nodes[i] for i in inner]
-    # find a directed cycle of components
-    color = {}
-    stack: list[int] = []
-
-    def dfs(c: int) -> list[int] | None:
-        color[c] = 1
-        stack.append(c)
-        for b in sorted(succ[c]):
-            if color.get(b) == 1:
-                return stack[stack.index(b):]
-            if b not in color:
-                cyc = dfs(b)
-                if cyc is not None:
-                    return cyc
-        color[c] = 2
-        stack.pop()
-        return None
-
-    cycle = None
-    for c in range(len(comps)):
-        if c not in color:
-            cycle = dfs(c)
-            if cycle is not None:
-                break
-    assert cycle is not None
-    # pick one arrow per condensation step
-    arcs = []
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        for tail, head in g.arrows():
-            if ids[g.index_of(tail)] == a and ids[g.index_of(head)] == b:
-                arcs.append((g.index_of(tail), g.index_of(head)))
-                break
-    route = [g.nodes[arcs[0][0]]]
-    # the last line path ends at the first tail, closing the route
-    for (_, head), (tail2, _) in zip(arcs, arcs[1:] + arcs[:1]):
-        route.extend(g.nodes[i] for i in _line_path(g, head, tail2))
-    return route
+    desc = g.desc_masks
+    t, h = next((t, h) for t in range(len(g)) for h in _bits(g.chi_masks[t])
+                if desc[h] >> t & 1)
+    step = [g.chi_masks[i] | g.sib_masks[i] for i in range(len(g))]
+    layers = [1 << h]
+    seen = 1 << h
+    while not seen >> t & 1:
+        nxt = 0
+        for i in _bits(layers[-1]):
+            nxt |= step[i]
+        layers.append(nxt & ~seen)
+        seen |= nxt
+    back = [t]  # the path from t back to h, one node per earlier layer
+    for layer in reversed(layers[:-1]):
+        back.append(next(i for i in _bits(layer) if step[i] >> back[-1] & 1))
+    return [g.nodes[i] for i in [t] + back[::-1]]
 
 
 def component_chain(g: HybridGraph) -> tuple[frozenset[str], ...]:
     """The chain whose blocks are the connectivity components.
 
-    Blocks are ordered by a topological sort of the arrow condensation,
-    with ties broken by the smallest member label.
+    Components are placed by Kahn's peel over the cached component masks:
+    a component becomes ready once all its parents are placed, and the
+    ready component with the lowest node bit (the smallest member label)
+    goes next.
     """
-    comps, succ, intra = _condensation(g)
-    order = None if intra else _topo_order(comps, succ)
-    if order is None:
+    if not is_chain_graph(g):
         raise NotChainGraphError("graph has a directed pseudocycle")
-    return tuple(comps[c] for c in order)
+    comp, comp_par = _component_masks(g)
+    # ascending, so already a heap; each component is keyed by its lowest bit
+    heap = [i for i in range(len(g)) if comp[i] & -comp[i] == 1 << i and not comp_par[i]]
+    placed = 0
+    chain = []
+    while heap:
+        i = heapq.heappop(heap)
+        placed |= comp[i]
+        chain.append(g.labels_of(comp[i]))
+        kids = 0
+        for j in _bits(comp[i]):
+            kids |= g.chi_masks[j]
+        while kids:  # each child component once
+            j = (kids & -kids).bit_length() - 1
+            kids &= ~comp[j]
+            if not comp_par[j] & ~placed:
+                heapq.heappush(heap, (comp[j] & -comp[j]).bit_length() - 1)
+    return tuple(chain)
 
 
 def parents(g: HybridGraph, u: str) -> frozenset[str]:

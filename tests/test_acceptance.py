@@ -41,6 +41,7 @@ from chaingraphs import (
 )
 from chaingraphs.enumeration import all_chain_graphs, random_chain_graph, random_triplet
 from chaingraphs.graph import HybridGraph, EdgeKind
+from chaingraphs.separation import c_active_mask, represented_mask
 
 FULL = os.environ.get("CHAINGRAPHS_FULL_SWEEP") == "1"
 SEED = 20260823
@@ -87,11 +88,26 @@ def suite5(small_cgs, sweep5):
     return out
 
 
+def _mask_triples(n):
+    """Every (X, Y, Z) of pairwise disjoint node masks over n nodes with X
+    and Y nonempty: the mask form of ``all_triplets``."""
+    out = []
+    for roles in itertools.product(range(4), repeat=n):
+        parts = [0, 0, 0, 0]
+        for i, r in enumerate(roles):
+            parts[r] |= 1 << i
+        if parts[0] and parts[1]:
+            out.append(tuple(parts[:3]))
+    return out
+
+
 def test_criterion_1_separation_criteria_equivalent(small_cgs, sweep5):
     mismatches = 0
+    triples = {n: _mask_triples(n) for n in range(2, 6)}
     for g in itertools.chain(small_cgs, sweep5):
-        for t in all_triplets(g.nodes):
-            if c_represented(g, t) != moralization_represented(g, t):
+        for x, y, z in triples[len(g)]:
+            # c_active_mask is True when connected, represented_mask when separated
+            if c_active_mask(g, x, y, z) == represented_mask(g, x, y, z):
                 mismatches += 1
     # equivariance spot-check justifying the orbit-representative sweep
     rng = random.Random(SEED)

@@ -76,8 +76,10 @@ def test_sep_verdicts(files, capsys):
     assert capsys.readouterr().out.strip().endswith("SEPARATED")
 
 
-def test_sep_bad_triplet(files):
-    assert run(["sep", files["ga.cg"], "a | z |"]) == 2
+def test_sep_bad_triplet(files, capsys):
+    for criterion in ("moral", "c"):
+        assert run(["sep", files["ga.cg"], "a | z |", "--criterion", criterion]) == 2
+        assert capsys.readouterr().err == "error: unknown nodes: ['z']\n"
     assert run(["sep", files["ga.cg"], "a | a |"]) == 2
 
 
@@ -143,6 +145,7 @@ def test_equiv(files, capsys):
     assert run(["equiv", files["ga.cg"], files["ga_lines.cg"]]) == 0
     assert capsys.readouterr().out.strip() == "EQUIVALENT"
     assert run(["equiv", files["ga.cg"], files["ge.cg"]]) == 2  # node sets differ
+    assert capsys.readouterr().err == "error: graphs are over different node sets\n"
 
 
 def test_inputlist(files, capsys):

@@ -1,3 +1,6 @@
+import heapq
+import random
+
 import pytest
 
 from chaingraphs import (
@@ -20,7 +23,7 @@ from chaingraphs import (
     siblings,
     underlying,
 )
-from chaingraphs.enumeration import all_hybrid_graphs
+from chaingraphs.enumeration import all_chain_graphs, all_hybrid_graphs, random_chain_graph
 
 
 def test_single_node_graph():
@@ -150,6 +153,44 @@ def _is_chain_graph_by_condensation(g):
     return placed == len(succ)
 
 
+def _component_chain_by_condensation(g):
+    """Reference: Kahn's algorithm on the label-level component
+    condensation, the ready component with the smallest member label first."""
+    comps = components(g)
+    comp_of = {u: c for c, comp in enumerate(comps) for u in comp}
+    succ = [set() for _ in comps]
+    for tail, head in g.arrows():
+        succ[comp_of[tail]].add(comp_of[head])
+    indeg = [0] * len(comps)
+    for targets in succ:
+        for b in targets:
+            indeg[b] += 1
+    heap = [(min(comps[c]), c) for c in range(len(comps)) if indeg[c] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, c = heapq.heappop(heap)
+        order.append(comps[c])
+        for b in succ[c]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                heapq.heappush(heap, (min(comps[b]), b))
+    return tuple(order)
+
+
+def test_component_chain_matches_condensation_order():
+    count = 0
+    for g in all_chain_graphs("abcd"):
+        count += 1
+        assert component_chain(g) == _component_chain_by_condensation(g), g
+    assert count == 1688
+    rng = random.Random(20261018)
+    for n in range(6, 13):
+        for _ in range(100):  # sparse draws: many components to order
+            g = random_chain_graph(rng, "abcdefghijkl"[:n], p_edge=0.25)
+            assert component_chain(g) == _component_chain_by_condensation(g), g
+
+
 def test_is_chain_graph_all_four_node_hybrid_graphs():
     count = 0
     for g in all_hybrid_graphs("abcd"):
@@ -160,6 +201,7 @@ def test_is_chain_graph_all_four_node_hybrid_graphs():
         assert (cyc is None) == ok, g
         if cyc is not None:
             assert cyc[0] == cyc[-1]
+            assert len(set(cyc)) == len(cyc) - 1, cyc
             assert all(g.has_edge(a, b) and not g.has_arrow(b, a) for a, b in zip(cyc, cyc[1:]))
             assert any(g.has_arrow(a, b) for a, b in zip(cyc, cyc[1:]))
     assert count == 4 ** 6
