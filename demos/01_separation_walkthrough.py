@@ -61,7 +61,7 @@ def main():
         print(f"  section {s.nodes} [{s.kind}] blocked:",
               section_blocked(g, path, s, z))
     print("  slides into d:", slides_to(g, "d"),
-          "- every one meets Z =", set(z))
+          "- every one meets Z =", sorted(z))
     print()
 
     long = Trail(g, ("a", "c", "d", "e", "b", "g", "d", "f"))

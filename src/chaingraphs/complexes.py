@@ -11,16 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import (
-    EdgeKind,
-    GraphError,
-    HybridGraph,
-    NotChainGraphError,
-    _bits,
-    _reach,
-    is_chain_graph,
-    underlying,
-)
+from .graph import GraphError, HybridGraph, NotChainGraphError, _bits, _reach, is_chain_graph
 
 __all__ = [
     "Complex",
@@ -93,15 +84,20 @@ def _chordless_paths(sib: list[int], ends: list[int], adj: list[int], mask: int,
                         stack.append(((*path, x), blocked))
 
 
-def enumerate_complexes(g: HybridGraph) -> list[Complex]:
-    """All complexes of ``g``, canonically oriented, deterministically sorted."""
+def _complex_paths(g: HybridGraph) -> frozenset[tuple[int, ...]]:
+    """Index paths (a, w1, ..., wl, b), a < b, of every complex of ``g``."""
     try:
-        paths = g._cache["complexes"]
+        return g._cache["complexes"]
     except KeyError:
         adj = [g.adj_mask(i) for i in range(len(g))]
-        paths = list(_chordless_paths(g.sib_masks, g.par_masks, adj, (1 << len(g)) - 1))
+        paths = frozenset(_chordless_paths(g.sib_masks, g.par_masks, adj, (1 << len(g)) - 1))
         g._cache["complexes"] = paths
-    out = [Complex(tuple(g.nodes[i] for i in p)) for p in paths]
+        return paths
+
+
+def enumerate_complexes(g: HybridGraph) -> list[Complex]:
+    """All complexes of ``g``, canonically oriented, deterministically sorted."""
+    out = [Complex(tuple(g.nodes[i] for i in p)) for p in _complex_paths(g)]
     out.sort(key=lambda c: (c.parents, c.region))
     return out
 
@@ -121,12 +117,15 @@ def pattern_of(g: HybridGraph) -> HybridGraph:
     """
     if not is_chain_graph(g):
         raise NotChainGraphError("pattern is defined for chain graphs only")
-    edges = {pair: EdgeKind.LINE for pair in g.edges}
-    for cpx in enumerate_complexes(g):
-        for tail, head in ((cpx.path[0], cpx.path[1]), (cpx.path[-1], cpx.path[-2])):
-            key = (tail, head) if tail < head else (head, tail)
-            edges[key] = EdgeKind.ARROW_FORWARD if tail < head else EdgeKind.ARROW_BACKWARD
-    return HybridGraph(g.nodes, edges)
+    n = len(g)
+    sib = [g.adj_mask(i) for i in range(n)]
+    par = [0] * n
+    for p in _complex_paths(g):
+        for tail, head in ((p[0], p[1]), (p[-1], p[-2])):
+            sib[tail] &= ~(1 << head)
+            sib[head] &= ~(1 << tail)
+            par[head] |= 1 << tail
+    return HybridGraph._of_masks(g.nodes, sib, par)
 
 
 def markov_equivalent(g: HybridGraph, h: HybridGraph) -> bool:
@@ -135,17 +134,17 @@ def markov_equivalent(g: HybridGraph, h: HybridGraph) -> bool:
         raise GraphError("graphs are over different node sets")
     if not is_chain_graph(g) or not is_chain_graph(h):
         raise NotChainGraphError("Markov equivalence is defined for chain graphs")
-    return set(g.edges) == set(h.edges) and enumerate_complexes(g) == enumerate_complexes(h)
+    return (all(g.adj_mask(i) == h.adj_mask(i) for i in range(len(g)))
+            and _complex_paths(g) == _complex_paths(h))
 
 
 def is_larger(h: HybridGraph, g: HybridGraph) -> bool:
     """True iff ``g`` is at least as large as ``h`` (written h < g):
     every arrow of ``g`` is an arrow of ``h`` with the same orientation.
     """
-    if g.nodes != h.nodes or set(g.edges) != set(h.edges):
+    if g.nodes != h.nodes or any(g.adj_mask(i) != h.adj_mask(i) for i in range(len(g))):
         raise GraphError("graphs must share node set and underlying graph")
-    arrows_h = set(h.arrows())
-    return all(a in arrows_h for a in g.arrows())
+    return not any(x & ~y for x, y in zip(g.chi_masks, h.chi_masks))
 
 
 def equivalence_class(g: HybridGraph, max_edges: int = 12) -> list[HybridGraph]:
@@ -166,35 +165,29 @@ def equivalence_class(g: HybridGraph, max_edges: int = 12) -> list[HybridGraph]:
     if len(g.edges) > max_edges:
         raise BoundExceededError(f"{len(g.edges)} edges exceeds bound {max_edges}")
     pat = pattern_of(g)
-    target = enumerate_complexes(g)
-    fixed = {pair: kind for pair, kind in pat.edges.items() if kind is not EdgeKind.LINE}
-    free = [pair for pair, kind in pat.edges.items() if kind is EdgeKind.LINE]
-    kinds = (EdgeKind.LINE, EdgeKind.ARROW_FORWARD, EdgeKind.ARROW_BACKWARD)
+    target = _complex_paths(g)
     n = len(g)
-    ends = [(g.index_of(u), g.index_of(v)) for u, v in free]
+    ends = [(i, j) for i in range(n) for j in _bits(pat.sib_masks[i] & ~((2 << i) - 1))]
     # each chordless skeleton path is checked once its last free edge is
     # set; a path of pinned arrows only is a complex as it is in g
     position = {pair: p for p, pair in enumerate(ends)}
     adj = [g.adj_mask(i) for i in range(n)]
-    is_target = {tuple(g.index_of(x) for x in cpx.path) for cpx in target}
-    checks: list[list[tuple[tuple[int, ...], bool]]] = [[] for _ in free]
+    checks: list[list[tuple[tuple[int, ...], bool]]] = [[] for _ in ends]
     for path in _chordless_paths(adj, adj, adj, (1 << n) - 1):
         last = max(position.get((min(x, y), max(x, y)), -1) for x, y in zip(path, path[1:]))
         if last >= 0:
-            checks[last].append((path, path in is_target))
+            checks[last].append((path, path in target))
     # the assigned edges as masks, starting from the pinned arrows
     sib = [0] * n
     par = list(pat.par_masks)
     chi = list(pat.chi_masks)
     members = []
-    choice = [-1] * len(free)  # kind index set at each position, -1 for none
+    choice = [-1] * len(ends)  # kind index set at each position, -1 for none
     pos = 0
     while pos >= 0:
-        if pos == len(free):
-            edges = dict(fixed)
-            edges.update(zip(free, (kinds[c] for c in choice)))
-            cand = HybridGraph(g.nodes, edges)
-            if is_chain_graph(cand) and enumerate_complexes(cand) == target:
+        if pos == len(ends):
+            cand = HybridGraph._of_masks(g.nodes, sib, par)
+            if is_chain_graph(cand) and _complex_paths(cand) == target:
                 members.append(cand)
             pos -= 1
             continue
@@ -203,7 +196,7 @@ def equivalence_class(g: HybridGraph, max_edges: int = 12) -> list[HybridGraph]:
         if c >= 0:
             _toggle(sib, par, chi, i, j, c)
         c += 1
-        if c == len(kinds):
+        if c == 3:  # all three kinds tried
             choice[pos] = -1
             pos -= 1
             continue

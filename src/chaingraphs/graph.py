@@ -3,8 +3,10 @@
 A hybrid graph has a finite node set and at most one edge per node pair,
 each edge being either a line (undirected) or an arrow (directed).  Graphs
 are immutable; every transformation returns a new graph.  Node sets are
-exchanged with callers as label collections, while the heavy operations run
-on integer bitmasks internally.
+exchanged with callers as label collections.  A graph is stored once, as
+per-node integer bitmasks of its lines, parents and children, and the heavy
+operations run on those; the label-keyed edge map is derived from the masks
+and cached.  This module alone knows how an edge's kind is encoded.
 """
 
 from __future__ import annotations
@@ -68,16 +70,14 @@ def arrow(u: str, v: str) -> tuple[str, str, EdgeKind]:
 class HybridGraph:
     """Immutable hybrid graph over string-labelled nodes.
 
-    ``edges`` maps each sorted node pair to its :class:`EdgeKind`, so two
-    graphs have the same underlying graph exactly when their edge key sets
-    coincide.
+    Stored once, as line, parent and child bitmasks per sorted label
+    (``sib_masks``, ``par_masks``, ``chi_masks``).  ``edges`` maps each
+    sorted node pair to its :class:`EdgeKind`; that map is rendered from the
+    masks on first use and cached.  Two graphs have the same underlying
+    graph exactly when their edge key sets coincide.
     """
 
-    __slots__ = (
-        "_nodes", "_index", "_edges",
-        "_sib", "_par", "_chi",
-        "_cache",
-    )
+    __slots__ = ("_nodes", "_index", "_sib", "_par", "_chi", "_cache")
 
     def __init__(self, nodes: Iterable[str], edges: Mapping[tuple[str, str], EdgeKind]):
         node_list = list(nodes)
@@ -89,40 +89,47 @@ class HybridGraph:
                 raise GraphError(f"duplicate node label: {label!r}")
             seen.add(label)
         self._nodes = tuple(sorted(node_list))
-        self._index = {label: i for i, label in enumerate(self._nodes)}
-        normalized: dict[tuple[str, str], EdgeKind] = {}
-        for (u, v), kind in edges.items():
-            if u == v:
-                raise GraphError(f"self-loop at {u!r}")
-            if u not in self._index or v not in self._index:
-                raise GraphError(f"edge endpoint not a declared node: {(u, v)!r}")
-            if u > v:
-                u, v = v, u
-                kind = _flip(kind)
-            if (u, v) in normalized:
-                raise GraphError(f"duplicate edge {(u, v)!r}")
-            normalized[(u, v)] = kind
-        self._edges = dict(sorted(normalized.items()))
-
+        self._index = index = {label: i for i, label in enumerate(self._nodes)}
         n = len(self._nodes)
         sib = [0] * n
         par = [0] * n
         chi = [0] * n
-        for (u, v), kind in self._edges.items():
-            i, j = self._index[u], self._index[v]
+        for (u, v), kind in edges.items():
+            if u == v:
+                raise GraphError(f"self-loop at {u!r}")
+            if u not in index or v not in index:
+                raise GraphError(f"edge endpoint not a declared node: {(u, v)!r}")
+            i, j = index[u], index[v]
+            if (sib[i] | par[i] | chi[i]) >> j & 1:
+                raise GraphError(f"duplicate edge {_key(u, v)!r}")
             if kind is EdgeKind.LINE:
                 sib[i] |= 1 << j
                 sib[j] |= 1 << i
-            elif kind is EdgeKind.ARROW_FORWARD:
+            else:
+                if kind is not EdgeKind.ARROW_FORWARD:  # relative to (u, v) as written
+                    i, j = j, i
                 chi[i] |= 1 << j
                 par[j] |= 1 << i
-            else:
-                chi[j] |= 1 << i
-                par[i] |= 1 << j
         self._sib = sib
         self._par = par
         self._chi = chi
         self._cache: dict = {}
+
+    @classmethod
+    def _of_masks(cls, nodes: Sequence[str], sib: Sequence[int], par: Sequence[int]):
+        """Graph from line and parent masks over labels already sorted and
+        valid.  Nothing is checked; both lists are copied."""
+        g = cls.__new__(cls)
+        g._nodes = tuple(nodes)
+        g._index = {label: i for i, label in enumerate(g._nodes)}
+        g._sib = list(sib)
+        g._par = list(par)
+        g._chi = chi = [0] * len(g._par)
+        for j, p in enumerate(g._par):
+            for i in _bits(p):
+                chi[i] |= 1 << j
+        g._cache = {}
+        return g
 
     # -- basic accessors -------------------------------------------------
 
@@ -132,7 +139,24 @@ class HybridGraph:
 
     @property
     def edges(self) -> dict[tuple[str, str], EdgeKind]:
-        return dict(self._edges)
+        return dict(self._edge_map())
+
+    def _edge_map(self) -> dict[tuple[str, str], EdgeKind]:
+        """The cached edge map, rendered from the masks in sorted-pair order."""
+        try:
+            return self._cache["edges"]
+        except KeyError:
+            pass
+        nodes, edges = self._nodes, {}
+        for i, u in enumerate(nodes):
+            sib, chi = self._sib[i], self._chi[i]
+            for j in _bits(self.adj_mask(i) & ~((2 << i) - 1)):
+                edges[(u, nodes[j])] = (
+                    EdgeKind.LINE if sib >> j & 1
+                    else EdgeKind.ARROW_FORWARD if chi >> j & 1
+                    else EdgeKind.ARROW_BACKWARD)
+        self._cache["edges"] = edges
+        return edges
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -140,41 +164,38 @@ class HybridGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, HybridGraph):
             return NotImplemented
-        return self._nodes == other._nodes and self._edges == other._edges
+        return (self._nodes == other._nodes and self._sib == other._sib
+                and self._par == other._par)
 
     def __hash__(self) -> int:
-        return hash((self._nodes, tuple(self._edges.items())))
+        return hash((self._nodes, tuple(self._sib), tuple(self._par)))
 
     def __repr__(self) -> str:
-        return f"HybridGraph(nodes={self._nodes!r}, edges={self._edges!r})"
+        return f"HybridGraph(nodes={self._nodes!r}, edges={self._edge_map()!r})"
 
     def has_edge(self, u: str, v: str) -> bool:
-        return _key(u, v) in self._edges
+        return _key(u, v) in self._edge_map()
 
     def edge_kind(self, u: str, v: str) -> EdgeKind | None:
         """Kind of the {u, v} edge relative to the sorted pair, or None."""
-        return self._edges.get(_key(u, v))
+        return self._edge_map().get(_key(u, v))
 
     def is_line(self, u: str, v: str) -> bool:
         return self.edge_kind(u, v) is EdgeKind.LINE
 
     def has_arrow(self, u: str, v: str) -> bool:
         """True iff the arrow u -> v is present."""
-        kind = self._edges.get(_key(u, v))
-        if kind is None or kind is EdgeKind.LINE:
-            return False
-        return (kind is EdgeKind.ARROW_FORWARD) == (u < v)
+        want = EdgeKind.ARROW_FORWARD if u < v else EdgeKind.ARROW_BACKWARD
+        return self.edge_kind(u, v) is want
 
     def arrows(self) -> Iterator[tuple[str, str]]:
         """All arrows as (tail, head) pairs, in canonical edge order."""
-        for (u, v), kind in self._edges.items():
-            if kind is EdgeKind.ARROW_FORWARD:
-                yield (u, v)
-            elif kind is EdgeKind.ARROW_BACKWARD:
-                yield (v, u)
+        for (u, v), kind in self._edge_map().items():
+            if kind is not EdgeKind.LINE:
+                yield (u, v) if kind is EdgeKind.ARROW_FORWARD else (v, u)
 
     def lines(self) -> Iterator[tuple[str, str]]:
-        for (u, v), kind in self._edges.items():
+        for (u, v), kind in self._edge_map().items():
             if kind is EdgeKind.LINE:
                 yield (u, v)
 
@@ -239,14 +260,6 @@ def _key(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u < v else (v, u)
 
 
-def _flip(kind: EdgeKind) -> EdgeKind:
-    if kind is EdgeKind.ARROW_FORWARD:
-        return EdgeKind.ARROW_BACKWARD
-    if kind is EdgeKind.ARROW_BACKWARD:
-        return EdgeKind.ARROW_FORWARD
-    return EdgeKind.LINE
-
-
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -283,16 +296,15 @@ def build_graph(
     for u, v, kind in edge_specs:
         if u == v:
             raise GraphError(f"self-loop at {u!r}")
-        key = _key(u, v)
-        if key in edges:
-            raise GraphError(f"duplicate edge {key!r}")
-        edges[key] = kind if u < v else _flip(kind)
+        if (u, v) in edges or (v, u) in edges:
+            raise GraphError(f"duplicate edge {_key(u, v)!r}")
+        edges[(u, v)] = kind
     return HybridGraph(nodes, edges)
 
 
 def underlying(g: HybridGraph) -> HybridGraph:
     """The underlying graph: every edge turned into a line."""
-    return HybridGraph(g.nodes, {pair: EdgeKind.LINE for pair in g.edges})
+    return HybridGraph._of_masks(g.nodes, [g.adj_mask(i) for i in range(len(g))], [0] * len(g))
 
 
 def induced_subgraph(g: HybridGraph, t: Iterable[str]) -> HybridGraph:

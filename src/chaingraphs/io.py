@@ -15,7 +15,7 @@ endpoint pair) so parse -> serialize round-trips bit-exactly.
 
 from __future__ import annotations
 
-from .graph import EdgeKind, HybridGraph, _LABEL_RE, arrow, build_graph, line
+from .graph import HybridGraph, _LABEL_RE, arrow, build_graph, line
 
 __all__ = ["ParseError", "parse_graph", "serialize_graph", "parse_graphs", "serialize_graphs", "to_dot"]
 
@@ -67,11 +67,7 @@ def serialize_graph(g: HybridGraph) -> str:
     """Canonical text rendering, LF-terminated."""
     out = ["nodes " + " ".join(g.nodes)]
     out.extend(f"{u} -- {v}" for u, v in g.lines())
-    for (u, v), kind in g.edges.items():
-        if kind is EdgeKind.ARROW_FORWARD:
-            out.append(f"{u} -> {v}")
-        elif kind is EdgeKind.ARROW_BACKWARD:
-            out.append(f"{v} -> {u}")
+    out.extend(f"{u} -> {v}" for u, v in g.arrows())
     return "\n".join(out) + "\n"
 
 
@@ -101,10 +97,7 @@ def to_dot(g: HybridGraph, name: str = "G") -> str:
         out.append(f'  "{label}";')
     for u, v in g.lines():
         out.append(f'  "{u}" -> "{v}" [dir=none];')
-    for (u, v), kind in g.edges.items():
-        if kind is EdgeKind.ARROW_FORWARD:
-            out.append(f'  "{u}" -> "{v}";')
-        elif kind is EdgeKind.ARROW_BACKWARD:
-            out.append(f'  "{v}" -> "{u}";')
+    for u, v in g.arrows():
+        out.append(f'  "{u}" -> "{v}";')
     out.append("}")
     return "\n".join(out) + "\n"

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .complexes import _chordless_paths, pattern_of
 from .depmodel import DependencyModel, dep_all, dep_plus
-from .graph import EdgeKind, GraphError, HybridGraph, _bits, _reach, is_chain_graph
+from .graph import GraphError, HybridGraph, _bits, _reach, is_chain_graph
 
 __all__ = [
     "PatternConflictError",
@@ -98,13 +98,7 @@ class _WorkingGraph:
         self.ban[head] &= ~(1 << tail)
 
     def to_graph(self) -> HybridGraph:
-        nodes, edges = self.nodes, {}
-        for j in range(len(nodes)):
-            for i in _bits(self.sib[j] & ((1 << j) - 1)):
-                edges[(nodes[i], nodes[j])] = EdgeKind.LINE
-            for i in _bits(self.par[j]):
-                edges[(nodes[i], nodes[j])] = EdgeKind.ARROW_FORWARD
-        return HybridGraph(nodes, edges)
+        return HybridGraph._of_masks(self.nodes, self.sib, self.par)
 
 
 # ---------------------------------------------------------------------------
@@ -304,30 +298,24 @@ def _semislide_with_anchor(w: _WorkingGraph, r0: int, r1: int, rk: int) -> bool:
     """
     near_r0, near_rk = w.adj(r0), w.adj(rk)
 
-    def forward(cur, seen, clear, qualified):
-        # clear: every node so far is nonadjacent to r0
-        for nxt in _bits(w.d_step(cur) & ~seen):
+    def forward(step, seen, clear, qualified):
+        # step: the moves out of the last node, a genuine arrow from s0 and
+        # d-steps after it; clear: every node so far is nonadjacent to r0
+        for nxt in _bits(step & ~seen):
             if nxt == r1:
                 if qualified:
                     return True
                 continue
             c = clear and not near_r0 >> nxt & 1
-            if forward(nxt, seen | 1 << nxt, c, qualified or (c and near_rk >> nxt & 1)):
+            if forward(w.d_step(nxt), seen | 1 << nxt, c,
+                       qualified or (c and near_rk >> nxt & 1)):
                 return True
         return False
 
     for s0 in range(len(w.nodes)):
-        if s0 == r0:
-            continue
-        clear0 = not near_r0 >> s0 & 1
-        qualified0 = clear0 and near_rk >> s0 & 1
-        for s1 in _bits(w.chi[s0]):
-            if s1 == r1:
-                if qualified0:
-                    return True
-                continue
-            c = clear0 and not near_r0 >> s1 & 1
-            if forward(s1, 1 << s0 | 1 << s1, c, qualified0 or (c and near_rk >> s1 & 1)):
+        if s0 != r0:
+            clear0 = not near_r0 >> s0 & 1
+            if forward(w.chi[s0], 1 << s0, clear0, clear0 and near_rk >> s0 & 1):
                 return True
     return False
 

@@ -19,10 +19,10 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # complex_parent_pairs is unused here; bench/spans.py patches this name
-from .complexes import complex_parent_pairs, enumerate_complexes  # noqa: F401
+from .complexes import _complex_paths, complex_parent_pairs  # noqa: F401
 from .graph import (
     EdgeKind,
     GraphError,
@@ -58,11 +58,11 @@ def moral_graph(g: HybridGraph) -> HybridGraph:
     """Underlying graph plus a line joining the parents of every complex."""
     if not is_chain_graph(g):
         raise NotChainGraphError("moral graph is defined for chain graphs")
-    edges = {pair: EdgeKind.LINE for pair in g.edges}
-    for cpx in enumerate_complexes(g):
-        u, v = cpx.parents
-        edges[(u, v) if u < v else (v, u)] = EdgeKind.LINE
-    return HybridGraph(g.nodes, edges)
+    sib = [g.adj_mask(i) for i in range(len(g))]
+    for p in _complex_paths(g):
+        sib[p[0]] |= 1 << p[-1]
+        sib[p[-1]] |= 1 << p[0]
+    return HybridGraph._of_masks(g.nodes, sib, [0] * len(g))
 
 
 def moral_graph_component_variant(g: HybridGraph) -> HybridGraph:
@@ -86,7 +86,7 @@ def moral_graph_component_variant(g: HybridGraph) -> HybridGraph:
 
 def ug_separated(u_graph: HybridGraph, t: Triplet) -> bool:
     """Undirected separation: every X-to-Y path meets Z."""
-    if any(kind is not EdgeKind.LINE for kind in u_graph.edges.values()):
+    if any(u_graph.par_masks):
         raise GraphError("ug_separated expects an all-line graph")
     t.validate_over(u_graph.nodes)
     reach = _reach(u_graph.sib_masks, u_graph.mask_of(t.X), u_graph.mask_of(t.Z))

@@ -6,6 +6,7 @@ import pytest
 from chaingraphs import (
     EdgeKind,
     GraphError,
+    HybridGraph,
     NotChainGraphError,
     ancestral_set,
     arrow,
@@ -17,9 +18,13 @@ from chaingraphs import (
     descendants,
     find_directed_pseudocycle,
     induced_subgraph,
+    equivalence_class,
     is_chain_graph,
     line,
+    moral_graph,
     parents,
+    pattern_of,
+    recover_largest,
     siblings,
     underlying,
 )
@@ -48,6 +53,13 @@ def test_duplicate_edge_rejected():
     # the same pair twice with the same kind is also a duplicate
     with pytest.raises(GraphError):
         build_graph("ab", [arrow("a", "b"), arrow("b", "a")])
+    # the message names the sorted pair, whichever order the pair came in
+    message = r"^duplicate edge \('a', 'b'\)$"
+    with pytest.raises(GraphError, match=message):
+        build_graph("ab", [arrow("b", "a"), line("a", "b")])
+    for first, second in ((("a", "b"), ("b", "a")), (("b", "a"), ("a", "b"))):
+        with pytest.raises(GraphError, match=message):
+            HybridGraph("ab", {first: EdgeKind.LINE, second: EdgeKind.ARROW_FORWARD})
 
 
 def test_unknown_endpoint_rejected():
@@ -66,6 +78,58 @@ def test_edge_accessors(ga):
     assert not ga.is_line("b", "a")
     assert sorted(ga.arrows()) == [("a", "d"), ("b", "a"), ("b", "c"), ("c", "d")]
     assert list(ga.lines()) == []
+
+
+def test_unknown_label_queries(ga):
+    assert not ga.has_edge("a", "z") and not ga.has_edge("z", "a")
+    assert ga.edge_kind("a", "z") is None and ga.edge_kind("z", "a") is None
+    assert not ga.has_arrow("a", "z") and not ga.has_arrow("z", "a")
+    assert not ga.is_line("a", "z")
+
+
+def test_edge_map_round_trip_on_all_four_node_hybrid_graphs():
+    count = 0
+    for g in all_hybrid_graphs("abcd"):
+        count += 1
+        edges = g.edges
+        again = HybridGraph(g.nodes, edges)
+        assert again == g and hash(again) == hash(g), g
+        assert list(edges) == sorted(edges), g
+        assert list(g.lines()) == [p for p, kind in edges.items() if kind is EdgeKind.LINE]
+        assert list(g.arrows()) == [
+            (u, v) if kind is EdgeKind.ARROW_FORWARD else (v, u)
+            for (u, v), kind in edges.items() if kind is not EdgeKind.LINE]
+        assert all(g.is_line(u, v) and g.is_line(v, u) for u, v in g.lines())
+        assert all(g.has_arrow(t, h) and not g.has_arrow(h, t) for t, h in g.arrows())
+    assert count == 4 ** 6
+
+
+def test_mask_constructor_matches_the_edge_map():
+    for g in all_hybrid_graphs("abcd"):
+        h = HybridGraph._of_masks(g.nodes, g.sib_masks, g.par_masks)
+        assert h == g and h.chi_masks == g.chi_masks and h.edges == g.edges, g
+
+
+def test_mask_constructor_copies_its_lists(ga):
+    sib, par = list(ga.sib_masks), list(ga.par_masks)
+    g = HybridGraph._of_masks(ga.nodes, sib, par)
+    sib[0] |= 1 << 2
+    par[3] = 0
+    assert g == ga and g.edges == ga.edges
+
+
+def test_mask_built_graphs_are_well_formed(cgs4):
+    # rebuilding from the edge map catches a line set on one side only, or
+    # a pair set as both a line and an arrow
+    classes = {}
+    for g in cgs4:
+        pattern = pattern_of(g)
+        for h in (pattern, moral_graph(g), underlying(g)):
+            assert HybridGraph(h.nodes, h.edges) == h, (g, h)
+        classes.setdefault(pattern, g)
+    for pattern, g in classes.items():  # one graph per class
+        for h in (recover_largest(pattern), *equivalence_class(g)):
+            assert HybridGraph(h.nodes, h.edges) == h, (g, h)
 
 
 def test_underlying(ga):

@@ -16,6 +16,7 @@ from chaingraphs import (
     serialize_graphs,
     to_dot,
 )
+from chaingraphs.enumeration import all_hybrid_graphs
 
 SAMPLE = """\
 # fixture
@@ -40,6 +41,11 @@ def test_round_trip_bit_exact():
     assert parse_graph(text) == g
     assert serialize_graph(parse_graph(text)) == text
     assert text.endswith("\n")
+
+
+def test_round_trip_all_four_node_hybrid_graphs():
+    for g in all_hybrid_graphs("abcd"):
+        assert parse_graph(serialize_graph(g)) == g, g
 
 
 def test_serialize_order():

@@ -4,7 +4,10 @@ stage 2 against greedy component merging.
 ``ref_necessity``, ``ref_doublecycle`` and ``ref_semislide_exists`` are
 the searches ``recovery`` used before its rules became mask reachability:
 depth-first route enumeration with per-node visit counts, a step cap and
-a second pass that lets routes visit a node twice.  ``recover_largest``
+a second pass that lets routes visit a node twice.
+``ref_semislide_with_anchor`` is the anchored semislide search with its
+head step written out apart from the recursion; it is compared on every
+anchor (r0, r1, rk) at each doublecycle call.  ``recover_largest``
 is driven with the new rules while every rule call is compared with its
 reference, and again with the references swapped in; both runs must end
 in the same graph.
@@ -56,6 +59,37 @@ def ref_semislide_exists(w, target, excluded, *_):
         return False
 
     return back(target)
+
+
+def ref_semislide_with_anchor(w, r0, r1, rk):
+    near_r0, near_rk = w.adj(r0), w.adj(rk)
+
+    def forward(cur, seen, clear, qualified):
+        # clear: every node so far is nonadjacent to r0
+        for nxt in _bits(w.d_step(cur) & ~seen):
+            if nxt == r1:
+                if qualified:
+                    return True
+                continue
+            c = clear and not near_r0 >> nxt & 1
+            if forward(nxt, seen | 1 << nxt, c, qualified or (c and near_rk >> nxt & 1)):
+                return True
+        return False
+
+    for s0 in range(len(w.nodes)):
+        if s0 == r0:
+            continue
+        clear0 = not near_r0 >> s0 & 1
+        qualified0 = clear0 and near_rk >> s0 & 1
+        for s1 in _bits(w.chi[s0]):
+            if s1 == r1:
+                if qualified0:
+                    return True
+                continue
+            c = clear0 and not near_r0 >> s1 & 1
+            if forward(s1, 1 << s0 | 1 << s1, c, qualified0 or (c and near_rk >> s1 & 1)):
+                return True
+    return False
 
 
 def _ref_necessity(w, limit):
@@ -116,7 +150,7 @@ def _ref_doublecycle(w, limit):
 
             def walk(last, length):
                 for rk in _bits(w.sib[last] & w.sib[r0]):
-                    if not counts[rk] and recovery._semislide_with_anchor(w, r0, r1, rk):
+                    if not counts[rk] and ref_semislide_with_anchor(w, r0, r1, rk):
                         return rk, last, (r0, r1, rk)
                 if length >= max_steps:
                     return None
@@ -160,7 +194,7 @@ class Checked:
     """The new searches, each call compared with its reference."""
 
     def __init__(self):
-        self.fired = dict.fromkeys(NEW, 0)
+        self.fired = dict.fromkeys([*NEW, "anchor"], 0)
 
     def __getitem__(self, name):
         return lambda *args: self._check(name, *args)
@@ -171,7 +205,18 @@ class Checked:
         self.fired[name] += bool(got)
         if name != "semislide":
             self._check_lines(w)
+        if name == "doublecycle":
+            self._check_anchors(w)
         return got
+
+    def _check_anchors(self, w):
+        for r0 in range(len(w.nodes)):
+            for r1 in _bits(w.chi[r0]):
+                for rk in _bits(w.sib[r0]):
+                    got = recovery._semislide_with_anchor(w, r0, r1, rk)
+                    assert got == ref_semislide_with_anchor(w, r0, r1, rk), (
+                        w.to_graph(), r0, r1, rk)
+                    self.fired["anchor"] += got
 
     @staticmethod
     def _check_lines(w):
