@@ -9,6 +9,14 @@ or an arrow into it, and directs a -> w1 and b -> wl where ``dep_plus``
 holds given w1 and given wl.  The search is the one that enumerates
 complexes, run on the working graph's line and arrow bitmasks.
 
+That walk asks up to 2^(n-2) queries per predicate.  A ``CGBackedModel``
+is known to come from a chain graph, so it takes the PC route instead
+(Spirtes, Glymour & Scheines): the skeleton is searched over the current
+neighbourhoods, and each complex end is one query on the separator
+recorded for its pair (as Ma, Xie & Geng, JMLR 9, 2008, do for LWF chain
+graphs).  Every other model keeps the walk, which is the paper's
+definition and what detects a model that no chain graph induces.
+
 Stage 2 turns the pattern into the largest chain graph of the class by
 alternating orientation bans (transitivity principle) with line directing
 (necessity and doublecycle principles); bans have priority.  Each rule's
@@ -29,9 +37,10 @@ functions convert labels and ban pairs to masks at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations, count
 
 from .complexes import _chordless_paths, pattern_of
-from .depmodel import DependencyModel, dep_all, dep_plus
+from .depmodel import CGBackedModel, DependencyModel, dep_all, dep_plus
 from .graph import GraphError, HybridGraph, _bits, _reach, is_chain_graph
 
 __all__ = [
@@ -107,17 +116,53 @@ class _WorkingGraph:
 def recover_pattern(model: DependencyModel) -> HybridGraph:
     """Reconstruct the pattern of the class inducing ``model``.
 
+    Any model other than a ``CGBackedModel`` is read through ``dep_all``
+    (the skeleton) and ``dep_plus`` (the complex ends), which is what
+    raises ``PatternConflictError`` on a model no chain graph induces.
+
+    A ``CGBackedModel`` is read as follows; the output is the same.
+
+    *Skeleton* (``_pc_skeleton``).  Let u, v be non-adjacent.  If v is not
+    reached from u along a path that leaves u's line component by an
+    arrow, bd(u) separates them: in the moral graph of an(u, v, bd(u)) the
+    neighbours of u are bd(u), because no child of u is an ancestor of v
+    or of bd(u).  Otherwise u is not so reached from v, and bd(v)
+    separates them.  An adjacent pair is dependent given every set, so the
+    working skeleton keeps every true edge, adj(u) - v holds bd(u), and the
+    search reaches the separating boundary unless it removed the edge
+    before.
+
+    *Complex ends* (``_separator_dependent``).  At a chordless path a, w1
+    ... wl, b, with S the separator recorded for the non-adjacent a, b,
+    end w is tested by the one query D<a, b | S + w>.  It holds whenever
+    ``dep_plus(a, b, w)`` does, since S + w contains w.  Conversely, if w
+    is in an(a, b, S), the moral graph of an(a, b, S + w) is that of
+    an(a, b, S), in which S + w separates a from b, so both are false.
+    The remaining case, w outside an(a, b, S), is not proved here:
+    ``tests/test_stage1_pc.py`` compares the two answers at both ends of
+    every path stage 1 examines, on every 4-node chain graph, every 5-node
+    orbit representative (both criteria) and seeded draws at n = 6..12.
+
     Level-l directings are computed against the previous level in full
     before any is applied, so search order cannot matter.
     """
     nodes = sorted(model.nodes)
     n = len(nodes)
-    sib = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dep_all(model, nodes[i], nodes[j]):
-                sib[i] |= 1 << j
-                sib[j] |= 1 << i
+    if isinstance(model, CGBackedModel):
+        sib, sep = _pc_skeleton(model, n)
+
+        def complex_end(a, b, w):
+            return _separator_dependent(model, sep, a, b, w)
+    else:
+        sib = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if dep_all(model, nodes[i], nodes[j]):
+                    sib[i] |= 1 << j
+                    sib[j] |= 1 << i
+
+        def complex_end(a, b, w):
+            return dep_plus(model, nodes[a], nodes[b], nodes[w])
     zeros = [0] * n
     w = _WorkingGraph(nodes, sib, zeros, zeros, zeros)
     adj = list(sib)  # directing keeps the skeleton
@@ -126,14 +171,56 @@ def recover_pattern(model: DependencyModel) -> HybridGraph:
         ends = [s | t for s, t in zip(w.sib, w.par)]
         demands: set[tuple[int, int]] = set()
         for p in _chordless_paths(w.sib, ends, adj, (1 << n) - 1, level):
-            a, b = nodes[p[0]], nodes[p[-1]]
+            a, b = p[0], p[-1]
             # with one interior node p[1] is p[-2]: one query covers both ends
-            if dep_plus(model, a, b, nodes[p[1]]) and (
-                    level == 1 or dep_plus(model, a, b, nodes[p[-2]])):
+            if complex_end(a, b, p[1]) and (level == 1 or complex_end(a, b, p[-2])):
                 demands.add((p[0], p[1]))
                 demands.add((p[-1], p[-2]))
         _apply_level(w, demands)
     return w.to_graph()
+
+
+def _pc_skeleton(model: CGBackedModel, n: int) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """The skeleton of the chain graph behind ``model``, as adjacency masks,
+    and the separator found for each non-adjacent pair (u, v), u < v.
+
+    The PC search: from the complete graph, for s = 0, 1, ... and each
+    still adjacent pair u < v, ask <u, v | Z> for the size-s subsets Z of
+    adj(u) - v, then for those of adj(v) - u that are not subsets of
+    adj(u), and drop the edge at the first independence.  It ends once
+    no adjacent pair has s neighbours besides each other.
+    """
+    adj = [((1 << n) - 1) & ~(1 << u) for u in range(n)]
+    sep: dict[tuple[int, int], int] = {}
+    query = model.independent_mask
+    for s in count():
+        searched = False
+        for u in range(n):
+            for v in _bits(adj[u] >> (u + 1) << (u + 1)):
+                pool_u, pool_v = adj[u] & ~(1 << v), adj[v] & ~(1 << u)
+                if pool_u.bit_count() < s and pool_v.bit_count() < s:
+                    continue
+                searched = True
+                tries = chain(_subsets(pool_u, s),
+                              (z for z in _subsets(pool_v, s) if z & ~pool_u))
+                z = next((z for z in tries if query(1 << u, 1 << v, z)), None)
+                if z is not None:
+                    adj[u] &= ~(1 << v)
+                    adj[v] &= ~(1 << u)
+                    sep[u, v] = z
+        if not searched:
+            return adj, sep
+
+
+def _subsets(pool: int, size: int):
+    """The size-``size`` submasks of ``pool``, in ``combinations`` order."""
+    for zs in combinations([1 << i for i in _bits(pool)], size):
+        yield sum(zs)
+
+
+def _separator_dependent(model: CGBackedModel, sep, a: int, b: int, w: int) -> bool:
+    """D<a, b | S_ab + w> for the separator S_ab of the non-adjacent a < b."""
+    return not model.independent_mask(1 << a, 1 << b, sep[a, b] | 1 << w)
 
 
 def _apply_level(w: _WorkingGraph, demands) -> None:

@@ -141,6 +141,18 @@ def test_recover_trace(files, tmp_path, capsys):
     assert "ban:" in capsys.readouterr().err
 
 
+def test_recover_model_over_walk_bound_exit_2(tmp_path, capsys):
+    # 25 labels: each dep_all walk would try 2^23 conditioning sets
+    model = tmp_path / "wide.model"
+    model.write_text("model " + " ".join(f"x{i:02d}" for i in range(25)) + "\n")
+    for command in ("recover", "pattern"):
+        assert run([command, "--model", str(model)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: dep_all walk over 2^23 conditioning sets "
+                                "exceeds the bound of 1048576\n")
+
+
 def test_equiv(files, capsys):
     assert run(["equiv", files["ga.cg"], files["ga_lines.cg"]]) == 0
     assert capsys.readouterr().out.strip() == "EQUIVALENT"

@@ -24,6 +24,7 @@ from chaingraphs import (
     serialize_model,
 )
 from chaingraphs.complexes import BoundExceededError
+from chaingraphs.depmodel import MAX_WALK_SETS
 
 
 def test_cg_backed_model(ga, ge):
@@ -79,6 +80,48 @@ def test_dep_plus(ga, gc):
     assert dep_plus(mc, "u", "v", "q")
     with pytest.raises(ValueError):
         dep_plus(m, "a", "a", "b")
+
+
+class Logged(DependencyModel):
+    """k labels; every triplet independent; each query logged."""
+
+    def __init__(self, k):
+        self._nodes = tuple(f"x{i:02d}" for i in range(k))
+        self.log = []
+
+    @property
+    def nodes(self):
+        return self._nodes
+
+    def is_independent(self, t):
+        self.log.append(t)
+        return True
+
+
+def test_walk_bound_raises_before_any_query():
+    assert MAX_WALK_SETS == 1 << 20
+    # at the bound (2^20 sets) the walk runs, and stops at its first query
+    m = Logged(22)
+    assert not dep_all(m, "x00", "x01")
+    m = Logged(23)
+    assert not dep_plus(m, "x00", "x01", "x02")
+    assert len(m.log) == 1
+    # one free node more, and nothing is asked
+    for call in (lambda m: dep_all(m, "x00", "x01"),
+                 lambda m: dep_plus(m, "x00", "x01", "x02"),
+                 recover_pattern):
+        m = Logged(24)
+        with pytest.raises(BoundExceededError, match="exceeds the bound of 1048576"):
+            call(m)
+        assert m.log == []
+
+
+def test_walk_bound_spares_cg_backed_recovery():
+    g = build_graph([f"x{i:02d}" for i in range(25)], [arrow("x00", "x01")])
+    m = CGBackedModel(g)
+    with pytest.raises(BoundExceededError):
+        dep_all(m, "x00", "x02")
+    assert recover_pattern(m) == pattern_of(g)
 
 
 def test_input_list_ga(ga):

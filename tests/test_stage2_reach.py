@@ -16,26 +16,22 @@ Beyond the sizes where the class can be listed, the largest chain graph
 is checked by merging (Studeny, Roverato & Stepanova, Kybernetika 45,
 2009): every member of a class reaches the largest chain graph by
 feasible mergings of an upper and a lower component, so a member that
-admits no feasible merge is the largest.
+admits no feasible merge is the largest.  The merging helpers and the
+block sampler are fixtures in ``conftest.py``.
 """
 
 import random
-from itertools import combinations
 
 from chaingraphs import (
     AnnotatedPattern,
-    EdgeKind,
-    HybridGraph,
-    enumerate_complexes,
     feasible_semislide_exists,
-    is_chain_graph,
     largest_cg_oracle,
     pattern_of,
     recover_largest,
 )
 from chaingraphs import recovery
 from chaingraphs.enumeration import random_chain_graph
-from chaingraphs.graph import _bits, components
+from chaingraphs.graph import _bits
 
 ORDERS = (("necessity", "doublecycle"), ("doublecycle", "necessity"))
 
@@ -262,55 +258,15 @@ def test_rules_agree_on_random_draws(monkeypatch):
 # ---------------------------------------------------------------------------
 # the largest chain graph by feasible merging
 
-def _feasible_merges(g):
-    """Each feasible merge of g: all arrows from one component into another
-    made lines, the result a chain graph with the same complexes."""
-    comps = components(g)
-    comp_of = {u: c for c, comp in enumerate(comps) for u in comp}
-    complexes = enumerate_complexes(g)
-    for upper, lower in sorted({(comp_of[t], comp_of[h]) for t, h in g.arrows()}):
-        edges = dict(g.edges)
-        for t, h in g.arrows():
-            if comp_of[t] == upper and comp_of[h] == lower:
-                edges[min(t, h), max(t, h)] = EdgeKind.LINE
-        merged = HybridGraph(g.nodes, edges)
-        if is_chain_graph(merged) and enumerate_complexes(merged) == complexes:
-            yield merged
-
-
-def admits_no_merge(g):
-    return next(_feasible_merges(g), None) is None
-
-
-def greedy_merge(g):
-    while (merged := next(_feasible_merges(g), None)) is not None:
-        g = merged
-    return g
-
-
-def block_chain_graph(rng, n, p_cut=0.3, p_line=0.3, p_arrow=0.1):
-    """Nodes shuffled into blocks; lines inside a block, arrows forward."""
-    order = [f"v{i:02d}" for i in range(n)]
-    rng.shuffle(order)
-    block = [0]
-    for _ in order[1:]:
-        block.append(block[-1] + (rng.random() < p_cut))
-    edges = {}
-    for i, j in combinations(range(n), 2):
-        same = block[i] == block[j]
-        if rng.random() < (p_line if same else p_arrow):
-            edges[order[i], order[j]] = EdgeKind.LINE if same else EdgeKind.ARROW_FORWARD
-    return HybridGraph(order, edges)
-
-
-def test_merging_matches_class_oracle(cgs4):
+def test_merging_matches_class_oracle(cgs4, greedy_merge, admits_no_merge):
     for g in cgs4:
         largest = largest_cg_oracle(g)
         assert greedy_merge(g) == largest
         assert admits_no_merge(g) == (g == largest)
 
 
-def test_recover_largest_by_merging_beyond_class_sizes():
+def test_recover_largest_by_merging_beyond_class_sizes(block_chain_graph, greedy_merge,
+                                                      admits_no_merge):
     rng = random.Random(2009)
     for _ in range(60):
         g = block_chain_graph(rng, rng.randint(20, 30))
