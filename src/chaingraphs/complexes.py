@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import GraphError, HybridGraph, NotChainGraphError, _bits, _reach, is_chain_graph
+from .graph import (GraphError, HybridGraph, NotChainGraphError, _bits, _per_graph, _reach,
+                    is_chain_graph)
 
 __all__ = [
     "Complex",
@@ -84,15 +85,11 @@ def _chordless_paths(sib: list[int], ends: list[int], adj: list[int], mask: int,
                         stack.append(((*path, x), blocked))
 
 
+@_per_graph
 def _complex_paths(g: HybridGraph) -> frozenset[tuple[int, ...]]:
     """Index paths (a, w1, ..., wl, b), a < b, of every complex of ``g``."""
-    try:
-        return g._cache["complexes"]
-    except KeyError:
-        adj = [g.adj_mask(i) for i in range(len(g))]
-        paths = frozenset(_chordless_paths(g.sib_masks, g.par_masks, adj, (1 << len(g)) - 1))
-        g._cache["complexes"] = paths
-        return paths
+    adj = [g.adj_mask(i) for i in range(len(g))]
+    return frozenset(_chordless_paths(g.sib_masks, g.par_masks, adj, (1 << len(g)) - 1))
 
 
 def enumerate_complexes(g: HybridGraph) -> list[Complex]:

@@ -11,6 +11,7 @@ and cached.  This module alone knows how an edge's kind is encoded.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import re
 from enum import Enum
@@ -65,6 +66,21 @@ def line(u: str, v: str) -> tuple[str, str, EdgeKind]:
 def arrow(u: str, v: str) -> tuple[str, str, EdgeKind]:
     """Edge spec for the arrow u -> v."""
     return (u, v, EdgeKind.ARROW_FORWARD)
+
+
+def _per_graph(build):
+    """Memoize ``build(g)`` per graph, in ``g._cache`` under the builder's
+    name.  Graphs are immutable, so the value never goes stale."""
+    key = build.__name__
+
+    @functools.wraps(build)
+    def cached(g):
+        cache = g._cache
+        if key not in cache:  # a test, not a KeyError: fresh graphs miss often
+            cache[key] = build(g)
+        return cache[key]
+
+    return cached
 
 
 class HybridGraph:
@@ -141,12 +157,9 @@ class HybridGraph:
     def edges(self) -> dict[tuple[str, str], EdgeKind]:
         return dict(self._edge_map())
 
+    @_per_graph
     def _edge_map(self) -> dict[tuple[str, str], EdgeKind]:
         """The cached edge map, rendered from the masks in sorted-pair order."""
-        try:
-            return self._cache["edges"]
-        except KeyError:
-            pass
         nodes, edges = self._nodes, {}
         for i, u in enumerate(nodes):
             sib, chi = self._sib[i], self._chi[i]
@@ -155,7 +168,6 @@ class HybridGraph:
                     EdgeKind.LINE if sib >> j & 1
                     else EdgeKind.ARROW_FORWARD if chi >> j & 1
                     else EdgeKind.ARROW_BACKWARD)
-        self._cache["edges"] = edges
         return edges
 
     def __len__(self) -> int:
@@ -231,29 +243,19 @@ class HybridGraph:
     def adj_mask(self, i: int) -> int:
         return self._sib[i] | self._par[i] | self._chi[i]
 
-    def _reach_masks(self, step: Sequence[int]) -> list[int]:
-        """Per-node reachability closure of a one-step mask relation."""
-        return [_reach(step, 1 << i) for i in range(len(self._nodes))]
-
     @property
+    @_per_graph
     def anc_masks(self) -> list[int]:
         """anc_masks[i]: nodes with a descending path to node i (including i)."""
-        try:
-            return self._cache["anc"]
-        except KeyError:
-            step = [self._par[i] | self._sib[i] for i in range(len(self._nodes))]
-            self._cache["anc"] = self._reach_masks(step)
-            return self._cache["anc"]
+        step = [p | s for p, s in zip(self._par, self._sib)]
+        return [_reach(step, 1 << i) for i in range(len(step))]
 
     @property
+    @_per_graph
     def desc_masks(self) -> list[int]:
         """desc_masks[i]: nodes reachable from i by a descending path."""
-        try:
-            return self._cache["desc"]
-        except KeyError:
-            step = [self._chi[i] | self._sib[i] for i in range(len(self._nodes))]
-            self._cache["desc"] = self._reach_masks(step)
-            return self._cache["desc"]
+        step = [c | s for c, s in zip(self._chi, self._sib)]
+        return [_reach(step, 1 << i) for i in range(len(step))]
 
 
 def _key(u: str, v: str) -> tuple[str, str]:
@@ -294,9 +296,7 @@ def build_graph(
     """
     edges: dict[tuple[str, str], EdgeKind] = {}
     for u, v, kind in edge_specs:
-        if u == v:
-            raise GraphError(f"self-loop at {u!r}")
-        if (u, v) in edges or (v, u) in edges:
+        if (u, v) in edges:  # the constructor rejects (v, u) and self-loops
             raise GraphError(f"duplicate edge {_key(u, v)!r}")
         edges[(u, v)] = kind
     return HybridGraph(nodes, edges)
@@ -322,13 +322,10 @@ def induced_subgraph(g: HybridGraph, t: Iterable[str]) -> HybridGraph:
     return HybridGraph(t, edges)
 
 
+@_per_graph
 def _component_masks(g: HybridGraph) -> tuple[list[int], list[int]]:
     """Per node index: the node's connectivity component, and the parents
     of that component, as masks."""
-    try:
-        return g._cache["comp_masks"]
-    except KeyError:
-        pass
     comp = [0] * len(g)
     comp_par = [0] * len(g)
     for i in range(len(g)):
@@ -339,7 +336,6 @@ def _component_masks(g: HybridGraph) -> tuple[list[int], list[int]]:
                 p |= g.par_masks[j]
             for j in _bits(c):
                 comp[j], comp_par[j] = c, p
-    g._cache["comp_masks"] = comp, comp_par
     return comp, comp_par
 
 
@@ -352,6 +348,7 @@ def components(g: HybridGraph) -> list[frozenset[str]]:
     return [g.labels_of(comp[i]) for i in range(len(g)) if comp[i] & -comp[i] == 1 << i]
 
 
+@_per_graph
 def is_chain_graph(g: HybridGraph) -> bool:
     """True iff ``g`` has no directed pseudocycle.
 
@@ -359,10 +356,6 @@ def is_chain_graph(g: HybridGraph) -> bool:
     are all peeled already; the graph is a chain graph iff every component
     peels.  A component holding one of its own parents never does.
     """
-    try:
-        return g._cache["is_cg"]
-    except KeyError:
-        pass
     comp, comp_par = _component_masks(g)
     rest = (1 << len(g)) - 1  # nodes not yet peeled
     while rest:
@@ -373,9 +366,7 @@ def is_chain_graph(g: HybridGraph) -> bool:
         if not ready:
             break
         rest &= ~ready
-    ok = not rest
-    g._cache["is_cg"] = ok
-    return ok
+    return not rest
 
 
 def find_directed_pseudocycle(g: HybridGraph) -> list[str] | None:

@@ -15,6 +15,8 @@ endpoint pair) so parse -> serialize round-trips bit-exactly.
 
 from __future__ import annotations
 
+import re
+
 from .graph import HybridGraph, _LABEL_RE, arrow, build_graph, line
 
 __all__ = ["ParseError", "parse_graph", "serialize_graph", "parse_graphs", "serialize_graphs", "to_dot"]
@@ -31,36 +33,54 @@ def _tokens(raw_line: str) -> list[str]:
     return raw_line.split("#", 1)[0].split()
 
 
+def _column(raw_line: str, k: int) -> int:
+    """1-based column of the k-th token (from 0) of ``raw_line``."""
+    return list(re.finditer(r"\S+", raw_line))[k].start() + 1
+
+
 def parse_graph(text: str) -> HybridGraph:
     """Parse one graph in the text format; raises ParseError with position."""
-    lines_iter = list(enumerate(text.splitlines(), start=1))
-    header = None
+    lines = text.splitlines()
+    return _parse_block(enumerate(lines, start=1), max(len(lines), 1))
+
+
+def _parse_block(numbered, end: int) -> HybridGraph:
+    """One graph from ``(lineno, raw)`` pairs ending at line ``end``; each
+    line is checked as it is read, so an error names its own line."""
+    labels = None
+    pairs = set()
     specs = []
-    for lineno, raw in lines_iter:
+    for lineno, raw in numbered:
         toks = _tokens(raw)
         if not toks:
             continue
-        if header is None:
+        if labels is None:
             if toks[0] != "nodes":
                 raise ParseError("expected 'nodes' header line", lineno)
-            labels = toks[1:]
-            if not labels:
+            if len(toks) == 1:
                 raise ParseError("empty node list", lineno, len("nodes ") + 1)
-            for label in labels:
-                if not _LABEL_RE.match(label):
-                    raise ParseError(f"invalid label {label!r}", lineno, raw.index(label) + 1)
-            header = (lineno, labels)
+            labels = set()
+            for k, label in enumerate(toks[1:], start=1):
+                if label in labels or not _LABEL_RE.match(label):
+                    what = "repeated" if label in labels else "invalid"
+                    raise ParseError(f"{what} label {label!r}", lineno, _column(raw, k))
+                labels.add(label)
             continue
         if len(toks) != 3 or toks[1] not in ("--", "->"):
             raise ParseError("expected '<u> -- <v>' or '<u> -> <v>'", lineno)
         u, op, v = toks
+        for k in (0, 2):
+            if toks[k] not in labels:
+                raise ParseError(f"unknown node {toks[k]!r}", lineno, _column(raw, k))
+        pair = (u, v) if u < v else (v, u)
+        if u == v or pair in pairs:
+            what = f"self-loop at {u!r}" if u == v else f"duplicate edge {pair!r}"
+            raise ParseError(what, lineno)
+        pairs.add(pair)
         specs.append(line(u, v) if op == "--" else arrow(u, v))
-    if header is None:
-        raise ParseError("missing 'nodes' header line", 1)
-    try:
-        return build_graph(header[1], specs)
-    except ValueError as exc:
-        raise ParseError(str(exc), header[0]) from exc
+    if labels is None:
+        raise ParseError("missing 'nodes' header line", end)
+    return build_graph(labels, specs)
 
 
 def serialize_graph(g: HybridGraph) -> str:
@@ -72,17 +92,17 @@ def serialize_graph(g: HybridGraph) -> str:
 
 
 def parse_graphs(text: str) -> list[HybridGraph]:
-    """Parse a '---'-separated list of graph blocks."""
+    """Parse a '---'-separated list of graph blocks; errors give file lines."""
     graphs = []
-    block: list[str] = []
-    for raw in text.splitlines():
+    block: list[tuple[int, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.strip() == "---":
-            graphs.append(parse_graph("\n".join(block)))
+            graphs.append(_parse_block(block, lineno))
             block = []
         else:
-            block.append(raw)
-    if any(_tokens(raw) for raw in block):
-        graphs.append(parse_graph("\n".join(block)))
+            block.append((lineno, raw))
+    if any(_tokens(raw) for _, raw in block):
+        graphs.append(_parse_block(block, block[-1][0]))
     return graphs
 
 

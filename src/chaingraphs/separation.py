@@ -30,6 +30,7 @@ from .graph import (
     NotChainGraphError,
     _bits,
     _component_masks,
+    _per_graph,
     _reach,
     components,
     is_chain_graph,
@@ -93,6 +94,7 @@ def ug_separated(u_graph: HybridGraph, t: Triplet) -> bool:
     return not reach & u_graph.mask_of(t.Y)
 
 
+@_per_graph
 def _moral_steps(g: HybridGraph) -> tuple[list[int], list[int]]:
     """(adjacency, ancestor masks) of the moral graph with virtual nodes.
 
@@ -103,10 +105,6 @@ def _moral_steps(g: HybridGraph) -> tuple[list[int], list[int]]:
     set is a union of whole components, and the ancestor mask of node i
     carries the virtual bit of each component inside ``anc(i)``.
     """
-    try:
-        return g._cache["moral_steps"]
-    except KeyError:
-        pass
     n = len(g)
     comp, comp_par = _component_masks(g)
     desc = g.desc_masks
@@ -121,7 +119,6 @@ def _moral_steps(g: HybridGraph) -> tuple[list[int], list[int]]:
                 step[j] |= bit
             for j in _bits(desc[i]):
                 anc[j] |= bit
-    g._cache["moral_steps"] = step, anc
     return step, anc
 
 

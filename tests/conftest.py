@@ -49,9 +49,12 @@ def cgs4():
 
 @pytest.fixture(scope="session")
 def reps5():
-    """Orbit representatives of the 5-node chain graphs.
+    """Orbit representatives of the 5-node chain graphs: 1,553 graphs.
 
-    Enumerating all 4^10 hybrid graphs takes about half a minute; every
+    ``all_chain_graphs`` builds all 4^10 hybrid graphs and keeps the
+    142,624 chain graphs, which takes about half a minute;
+    ``orbit_representatives`` then keeps the first graph met in each
+    relabelling orbit and marks its 120 relabellings seen.  Every
     session-level sweep shares this list.
     """
     return list(orbit_representatives(all_chain_graphs("abcde")))

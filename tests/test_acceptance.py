@@ -39,24 +39,11 @@ from chaingraphs import (
     sections_of,
     slides_to,
 )
-from chaingraphs.enumeration import all_chain_graphs, random_chain_graph, random_triplet
-from chaingraphs.graph import HybridGraph, EdgeKind
+from chaingraphs.enumeration import all_chain_graphs, random_chain_graph, random_triplet, relabel
 from chaingraphs.separation import c_active_mask, represented_mask
 
 FULL = os.environ.get("CHAINGRAPHS_FULL_SWEEP") == "1"
 SEED = 20260823
-
-
-def _relabel(g, mapping):
-    edges = {}
-    for (u, v), kind in g.edges.items():
-        a, b = mapping[u], mapping[v]
-        if a > b:
-            a, b = b, a
-            kind = {EdgeKind.ARROW_FORWARD: EdgeKind.ARROW_BACKWARD,
-                    EdgeKind.ARROW_BACKWARD: EdgeKind.ARROW_FORWARD}.get(kind, kind)
-        edges[(a, b)] = kind
-    return HybridGraph([mapping[u] for u in g.nodes], edges)
 
 
 @pytest.fixture(scope="session")
@@ -116,7 +103,7 @@ def test_criterion_1_separation_criteria_equivalent(small_cgs, sweep5):
         perm = list(g.nodes)
         rng.shuffle(perm)
         mapping = dict(zip(g.nodes, perm))
-        h = _relabel(g, mapping)
+        h = relabel(g, mapping)
         for _ in range(5):
             t = random_triplet(rng, g.nodes)
             t2 = Triplet({mapping[x] for x in t.X}, {mapping[y] for y in t.Y},

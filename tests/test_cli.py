@@ -43,6 +43,12 @@ def test_parse_error_exit_2(tmp_path, capsys):
     bad.write_text("nodes a b\na == b\n")
     assert run(["check", str(bad)]) == 2
     assert "line 2" in capsys.readouterr().err
+    bad.write_text("nodes a b\na -- b\na -> b\n")
+    assert run(["check", str(bad)]) == 2
+    assert "line 3, column 1: duplicate edge" in capsys.readouterr().err
+    bad.write_text("nodes a b\na -- c\n")
+    assert run(["check", str(bad)]) == 2
+    assert "line 2, column 6: unknown node 'c'" in capsys.readouterr().err
 
 
 def test_components(files, capsys):

@@ -66,6 +66,29 @@ def test_parse_errors():
     except ParseError as exc:
         err = exc
     assert err is not None and err.lineno == 3
+    # edge lines are checked as they are read, so the error names that line
+    for text, lineno, column in [
+        ("nodes a b\na -- b\na -> b\n", 3, 1),  # repeated pair
+        ("nodes a b\na -- b\nb -- b\n", 3, 1),  # self-loop
+        ("nodes a b\n\na -- c\n", 3, 6),        # unknown endpoint
+        ("nodes a b\n  zz ->  a\n", 2, 3),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert (exc.value.lineno, exc.value.column) == (lineno, column)
+
+
+def test_parse_graphs_errors_give_file_lines():
+    text = "nodes a b\na -- b\n---\nnodes a b\na -- b\na -> b\n"
+    with pytest.raises(ParseError) as exc:
+        parse_graphs(text)
+    assert exc.value.lineno == 6
+    with pytest.raises(ParseError) as exc:
+        parse_graphs("nodes a\n---\nnodes a\nb -- a\n")
+    assert (exc.value.lineno, exc.value.column) == (4, 1)
+    with pytest.raises(ParseError) as exc:
+        parse_graphs("nodes a\n---\n\n---\nnodes b\n")
+    assert exc.value.lineno == 4  # the empty block ends at its separator
 
 
 def test_parse_graphs_blocks():

@@ -23,6 +23,7 @@ from chaingraphs import (
     recover_pattern,
 )
 from chaingraphs import recovery
+from chaingraphs.enumeration import relabel
 
 CRITERIA = ("moral", "c")
 SKELETON, PATHS = recovery._pc_skeleton, recovery._chordless_paths
@@ -116,3 +117,18 @@ def test_stage1_and_end_to_end_at_scale(block_chain_graph, greedy_merge):
             assert recover_end_to_end(CGBackedModel(g)) == greedy_merge(g)
         print(f"n = {n}: stage 1 median {median(times):.3f} s, max {max(times):.3f} s, "
               f"queries {min(queries)}..{max(queries)}")
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_end_to_end_is_relabelling_invariant(block_chain_graph, criterion):
+    """Renaming the nodes renames the recovered largest chain graph: the
+    search orders follow labels, the answer must not."""
+    rng = random.Random(1998)
+    for n in range(8, 19, 2):
+        for _ in range(3):
+            g = block_chain_graph(rng, n)
+            labels = list(g.nodes)
+            rng.shuffle(labels)
+            mapping = dict(zip(g.nodes, labels))
+            got = recover_end_to_end(CGBackedModel(relabel(g, mapping), criterion))
+            assert got == relabel(recover_end_to_end(CGBackedModel(g, criterion)), mapping)
