@@ -21,9 +21,11 @@ sets.
 
 ``recovery.recover_pattern`` reads explicit and user models through
 ``dep_all``/``dep_plus``.  A ``CGBackedModel`` takes a PC-style path
-there instead (a skeleton search over current neighbourhoods, then one
-query per complex end), which asks the same ``independent_mask`` memo
-far fewer queries and is not subject to the bound.
+there instead (one query per pair given all other nodes, a skeleton
+search over current neighbourhoods from there, then one query per
+complex end), which asks the same ``independent_mask`` memo far fewer
+queries.  Its skeleton search is refused with ``BoundExceededError`` once
+it would ask more than ``MAX_WALK_SETS`` queries.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ __all__ = [
 #: Most conditioning sets one ``dep_all``/``dep_plus`` walk may try: 2^20,
 #: about 0.4 s on an ``ExplicitModel`` and 9 s on a model that answers
 #: through ``is_independent`` (Intel Xeon, CPython 3.11).  A walk over more
-#: raises ``BoundExceededError`` before its first query.
+#: raises ``BoundExceededError`` before its first query.  It also bounds
+#: the queries of ``recovery._pc_skeleton``, which reads it at call time.
 MAX_WALK_SETS = 1 << 20
 
 
@@ -345,7 +348,8 @@ def semigraphoid_closure(triplets, nodes, max_nodes: int = 6) -> set[Triplet]:
 
 def parse_model(text: str) -> ExplicitModel:
     """Parse an explicit-model file: a `model <labels>` header followed by
-    one triplet per line in the ``X | Y | Z`` format.
+    one triplet per line in the ``X | Y | Z`` format.  Each line is checked
+    as it is read, so an error names its own line.
     """
     header = None
     triplets = []
@@ -357,15 +361,19 @@ def parse_model(text: str) -> ExplicitModel:
             toks = stripped.split()
             if toks[0] != "model" or len(toks) < 2:
                 raise InvalidTripletError(f"line {lineno}: expected 'model <labels>' header")
+            header = set()
             for tok in toks[1:]:
-                if not _LABEL_RE.match(tok):
-                    raise InvalidTripletError(f"line {lineno}: invalid label {tok!r}")
-            header = toks[1:]
+                if tok in header or not _LABEL_RE.match(tok):
+                    what = "repeated" if tok in header else "invalid"
+                    raise InvalidTripletError(f"line {lineno}: {what} label {tok!r}")
+                header.add(tok)
             continue
         try:
-            triplets.append(parse_triplet(stripped))
+            t = parse_triplet(stripped)
+            t.validate_over(header)
         except InvalidTripletError as exc:
             raise InvalidTripletError(f"line {lineno}: {exc}") from exc
+        triplets.append(t)
     if header is None:
         raise InvalidTripletError("missing 'model' header line")
     return ExplicitModel(header, triplets)

@@ -11,7 +11,9 @@ complexes, run on the working graph's line and arrow bitmasks.
 
 That walk asks up to 2^(n-2) queries per predicate.  A ``CGBackedModel``
 is known to come from a chain graph, so it takes the PC route instead
-(Spirtes, Glymour & Scheines): the skeleton is searched over the current
+(Spirtes, Glymour & Scheines): one query per pair given all other nodes
+gives the moral graph ("total conditioning", Pellet & Elisseeff, JMLR 9,
+2008), the skeleton is searched from it over the current
 neighbourhoods, and each complex end is one query on the separator
 recorded for its pair (as Ma, Xie & Geng, JMLR 9, 2008, do for LWF chain
 graphs).  Every other model keeps the walk, which is the paper's
@@ -39,7 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, combinations, count
 
-from .complexes import _chordless_paths, pattern_of
+from . import depmodel
+from .complexes import BoundExceededError, _chordless_paths, pattern_of
 from .depmodel import CGBackedModel, DependencyModel, dep_all, dep_plus
 from .graph import GraphError, HybridGraph, _bits, _reach, is_chain_graph
 
@@ -120,28 +123,45 @@ def recover_pattern(model: DependencyModel) -> HybridGraph:
     (the skeleton) and ``dep_plus`` (the complex ends), which is what
     raises ``PatternConflictError`` on a model no chain graph induces.
 
-    A ``CGBackedModel`` is read as follows; the output is the same.
+    A ``CGBackedModel`` is read as follows; the output is the same.  Its
+    skeleton search raises ``BoundExceededError`` before it would ask more
+    than ``depmodel.MAX_WALK_SETS`` queries, as the walk does before it
+    would try more than that many sets.
 
-    *Skeleton* (``_pc_skeleton``).  Let u, v be non-adjacent.  If v is not
-    reached from u along a path that leaves u's line component by an
-    arrow, bd(u) separates them: in the moral graph of an(u, v, bd(u)) the
-    neighbours of u are bd(u), because no child of u is an ancestor of v
-    or of bd(u).  Otherwise u is not so reached from v, and bd(v)
-    separates them.  An adjacent pair is dependent given every set, so the
-    working skeleton keeps every true edge, adj(u) - v holds bd(u), and the
-    search reaches the separating boundary unless it removed the edge
-    before.
+    *Skeleton* (``_pc_skeleton``).  Total conditioning comes first.  For
+    <u, v | V - {u, v}> the ancestral set is V, so by the moralization
+    criterion the pair is independent exactly when u and v are not
+    adjacent in the moral graph G^m.  One query per pair therefore gives
+    G^m, and V - {u, v} is recorded as the separator of each pair left
+    out.  G^m contains the skeleton, and adj_m(u) contains bd(u).
+
+    The PC search then runs from G^m.  Let u, v be non-adjacent in G.  If
+    v is not reached from u along a path that leaves u's line component
+    by an arrow, bd(u) separates them: in the moral graph of
+    an(u, v, bd(u)) the neighbours of u are bd(u), because no child of u
+    is an ancestor of v or of bd(u).  Otherwise u is not so reached from
+    v, and bd(v) separates them.  An adjacent pair is dependent given
+    every set, so the working skeleton keeps every true edge, adj(u) - v
+    holds bd(u), and the search reaches the separating boundary unless it
+    removed the edge before.
 
     *Complex ends* (``_separator_dependent``).  At a chordless path a, w1
     ... wl, b, with S the separator recorded for the non-adjacent a, b,
-    end w is tested by the one query D<a, b | S + w>.  It holds whenever
-    ``dep_plus(a, b, w)`` does, since S + w contains w.  Conversely, if w
-    is in an(a, b, S), the moral graph of an(a, b, S + w) is that of
-    an(a, b, S), in which S + w separates a from b, so both are false.
-    The remaining case, w outside an(a, b, S), is not proved here:
+    end w is tested by the one query D<a, b | S + w>.  The ends of a
+    complex are parents of the component that holds its interior, so they
+    are adjacent in G^m.  If a and b are not, S = V - {a, b} already
+    holds w: the query is the total-conditioning one and answers
+    independent, and ``dep_plus(a, b, w)`` is false too, since S contains
+    w and separates a from b.  Otherwise S is the PC search's separator.
+    The query holds whenever ``dep_plus(a, b, w)`` does, since S + w
+    contains w.  Conversely, if w is in an(a, b, S), the moral graph of
+    an(a, b, S + w) is that of an(a, b, S), in which S + w separates a
+    from b, so both are false; this holds for any separator S.  The
+    remaining case, w outside an(a, b, S), is not proved here:
     ``tests/test_stage1_pc.py`` compares the two answers at both ends of
-    every path stage 1 examines, on every 4-node chain graph, every 5-node
-    orbit representative (both criteria) and seeded draws at n = 6..12.
+    every path stage 1 examines, on every 4-node chain graph, every
+    5-node orbit representative (both criteria) and seeded draws at
+    n = 6..12.
 
     Level-l directings are computed against the previous level in full
     before any is applied, so search order cannot matter.
@@ -184,15 +204,36 @@ def _pc_skeleton(model: CGBackedModel, n: int) -> tuple[list[int], dict[tuple[in
     """The skeleton of the chain graph behind ``model``, as adjacency masks,
     and the separator found for each non-adjacent pair (u, v), u < v.
 
-    The PC search: from the complete graph, for s = 0, 1, ... and each
-    still adjacent pair u < v, ask <u, v | Z> for the size-s subsets Z of
-    adj(u) - v, then for those of adj(v) - u that are not subsets of
-    adj(u), and drop the edge at the first independence.  It ends once
-    no adjacent pair has s neighbours besides each other.
+    Total conditioning first: each pair u < v is asked <u, v | V - {u, v}>
+    once, and joined when dependent, which gives the moral graph.  Then the
+    PC search from it: for s = 0, 1, ... and each still adjacent pair
+    u < v, ask <u, v | Z> for the size-s subsets Z of adj(u) - v, then for
+    those of adj(v) - u that are not subsets of adj(u), and drop the edge
+    at the first independence.  It ends once no adjacent pair has s
+    neighbours besides each other.  Asking more than
+    ``depmodel.MAX_WALK_SETS`` queries raises ``BoundExceededError``.
     """
-    adj = [((1 << n) - 1) & ~(1 << u) for u in range(n)]
+    bound, asked = depmodel.MAX_WALK_SETS, 0
+
+    def independent(u, v, z):
+        nonlocal asked
+        asked += 1
+        if asked > bound:
+            raise BoundExceededError(
+                f"skeleton search over {n} nodes exceeds the bound of {bound} queries")
+        return model.independent_mask(1 << u, 1 << v, z)
+
+    full = (1 << n) - 1
+    adj = [0] * n
     sep: dict[tuple[int, int], int] = {}
-    query = model.independent_mask
+    for u in range(n):
+        for v in range(u + 1, n):
+            z = full & ~(1 << u | 1 << v)
+            if independent(u, v, z):
+                sep[u, v] = z
+            else:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
     for s in count():
         searched = False
         for u in range(n):
@@ -203,7 +244,7 @@ def _pc_skeleton(model: CGBackedModel, n: int) -> tuple[list[int], dict[tuple[in
                 searched = True
                 tries = chain(_subsets(pool_u, s),
                               (z for z in _subsets(pool_v, s) if z & ~pool_u))
-                z = next((z for z in tries if query(1 << u, 1 << v, z)), None)
+                z = next((z for z in tries if independent(u, v, z)), None)
                 if z is not None:
                     adj[u] &= ~(1 << v)
                     adj[v] &= ~(1 << u)

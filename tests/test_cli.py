@@ -159,6 +159,41 @@ def test_recover_model_over_walk_bound_exit_2(tmp_path, capsys):
                                 "exceeds the bound of 1048576\n")
 
 
+def test_recover_from_cg_over_skeleton_bound_exit_2(files, monkeypatch, capsys):
+    monkeypatch.setattr(chaingraphs.depmodel, "MAX_WALK_SETS", 5)  # ga has 6 pairs
+    assert run(["recover", "--from-cg", files["ga.cg"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: skeleton search over 4 nodes exceeds "
+                            "the bound of 5 queries\n")
+
+
+def test_model_parse_errors_exit_2(tmp_path, capsys):
+    model = tmp_path / "bad.model"
+    for text, message in (("model a b\na | c |\n", "line 2: unknown nodes: ['c']"),
+                          ("model a a\n", "line 1: repeated label 'a'")):
+        model.write_text(text)
+        for command in ("recover", "pattern"):
+            assert run([command, "--model", str(model)]) == 2
+            assert capsys.readouterr().err == f"error: {model}: {message}\n"
+
+
+def test_module_entry_point_exit_2(tmp_path, capsys):
+    # python -m chaingraphs runs the same command, with the same exit code
+    model = tmp_path / "bad.model"
+    model.write_text("model a b\na | c |\n")
+    argv = ["pattern", "--model", str(model)]
+    assert run(argv) == 2
+    expected = capsys.readouterr().err
+    src = os.path.dirname(os.path.dirname(chaingraphs.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for module in ("chaingraphs", "chaingraphs.cli"):
+        done = subprocess.run([sys.executable, "-m", module, *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", expected), module
+
+
 def test_equiv(files, capsys):
     assert run(["equiv", files["ga.cg"], files["ga_lines.cg"]]) == 0
     assert capsys.readouterr().out.strip() == "EQUIVALENT"

@@ -23,6 +23,7 @@ from chaingraphs import (
     semigraphoid_closure,
     serialize_model,
 )
+from chaingraphs import depmodel, recovery
 from chaingraphs.complexes import BoundExceededError
 from chaingraphs.depmodel import MAX_WALK_SETS
 
@@ -124,6 +125,24 @@ def test_walk_bound_spares_cg_backed_recovery():
     assert recover_pattern(m) == pattern_of(g)
 
 
+def test_skeleton_query_bound(monkeypatch, ge):
+    # every query of the skeleton search is a new memo entry
+    n = len(ge)
+    m = CGBackedModel(ge)
+    recovery._pc_skeleton(m, n)
+    asked = len(m._memo)
+    assert asked > n * (n - 1) // 2  # total conditioning, then the PC loop
+    monkeypatch.setattr(depmodel, "MAX_WALK_SETS", asked)
+    assert recover_pattern(CGBackedModel(ge)) == pattern_of(ge)
+    for bound in (asked - 1, 3):
+        monkeypatch.setattr(depmodel, "MAX_WALK_SETS", bound)
+        m = CGBackedModel(ge)
+        with pytest.raises(BoundExceededError,
+                           match=f"skeleton search over 7 nodes exceeds the bound of {bound} queries"):
+            recover_pattern(m)
+        assert len(m._memo) == bound
+
+
 def test_input_list_ga(ga):
     entries = input_list(ga, component_chain(ga))
     assert Triplet("d", "b", "ac") in entries
@@ -199,8 +218,15 @@ def test_parse_model_errors():
     from chaingraphs import InvalidTripletError
     with pytest.raises(InvalidTripletError):
         parse_model("a | b | c\n")  # missing header
-    with pytest.raises(InvalidTripletError):
+    with pytest.raises(InvalidTripletError, match="line 2: "):
         parse_model("model a b\nnot a triplet\n")
+    # labels are checked against the header on the triplet's own line
+    with pytest.raises(InvalidTripletError, match=r"^line 4: unknown nodes: \['c'\]$"):
+        parse_model("model a b\na | b |\n\na | c |  # c is not declared\nb | a |\n")
+    with pytest.raises(InvalidTripletError, match="^line 2: repeated label 'a'$"):
+        parse_model("# header next\nmodel a b a\n")
+    with pytest.raises(InvalidTripletError, match="^line 1: invalid label 'a,b'$"):
+        parse_model("model a,b\n")
 
 
 def test_explicit_model_symmetric():

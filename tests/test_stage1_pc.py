@@ -1,11 +1,14 @@
 """Stage 1 on CG-backed models against the ``dep_all``/``dep_plus`` walk.
 
 ``recover_pattern`` reads a ``CGBackedModel`` through a PC skeleton search
-(``recovery._pc_skeleton``) and one query per complex end on the recorded
-separator (``recovery._separator_dependent``).  Here the skeleton is
-compared with ``dep_all`` on every pair, each recorded separator is checked
-to separate its pair, and at every chordless path that stage 1 examines the
-one-query answer for both ends is compared with ``dep_plus``.
+started from the moral graph (``recovery._pc_skeleton``) and one query per
+complex end on the recorded separator (``recovery._separator_dependent``).
+Here the skeleton is compared with ``dep_all`` on every pair, each
+recorded separator is checked to separate its pair and to be the one that
+search start implies (all other nodes for a pair apart in the moral graph,
+moral neighbours otherwise), and at every chordless path that stage 1
+examines the one-query answer for both ends is compared with
+``dep_plus``.
 """
 
 import random
@@ -18,6 +21,7 @@ from chaingraphs import (
     CGBackedModel,
     dep_all,
     dep_plus,
+    moral_graph,
     pattern_of,
     recover_end_to_end,
     recover_pattern,
@@ -61,11 +65,18 @@ class Differential:
             m.setattr(recovery, "_chordless_paths", paths)
             assert recover_pattern(model) == pattern_of(g), (g, criterion)
         (adj, sep), = found
+        moral, full = moral_graph(g).sib_masks, (1 << len(nodes)) - 1
         for u in range(len(nodes)):
             for v in range(u + 1, len(nodes)):
                 adjacent = bool(adj[u] >> v & 1)
                 assert adjacent == dep_all(model, nodes[u], nodes[v]), (g, criterion, u, v)
                 assert adjacent == ((u, v) not in sep), (g, criterion, u, v)
+                # total conditioning separates the pairs apart in the moral
+                # graph; the PC search draws the rest from moral neighbours
+                if not moral[u] >> v & 1:
+                    assert sep[u, v] == full & ~(1 << u | 1 << v), (g, criterion, u, v)
+                elif not adjacent:
+                    assert not sep[u, v] & ~(moral[u] | moral[v]), (g, criterion, u, v)
         for (u, v), z in sep.items():
             assert model.independent_mask(1 << u, 1 << v, z), (g, criterion, u, v, z)
 
@@ -101,10 +112,10 @@ def test_pc_path_matches_walk_on_block_draws(monkeypatch, block_chain_graph):
 
 
 def test_stage1_and_end_to_end_at_scale(block_chain_graph, greedy_merge):
-    """Sparse draws at n = 14..20: the pattern, and the largest chain graph
+    """Sparse draws at n = 14..30: the pattern, and the largest chain graph
     by merging.  The times and query counts are printed (``pytest -s``)."""
     rng = random.Random(1990)
-    for n in range(14, 21):
+    for n in range(14, 31):
         times, queries = [], []
         for _ in range(4):
             g = block_chain_graph(rng, n)
@@ -124,7 +135,7 @@ def test_end_to_end_is_relabelling_invariant(block_chain_graph, criterion):
     """Renaming the nodes renames the recovered largest chain graph: the
     search orders follow labels, the answer must not."""
     rng = random.Random(1998)
-    for n in range(8, 19, 2):
+    for n in range(8, {"moral": 31, "c": 25}[criterion], 2):
         for _ in range(3):
             g = block_chain_graph(rng, n)
             labels = list(g.nodes)
