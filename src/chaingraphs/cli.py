@@ -147,7 +147,10 @@ def _trace_sink(enabled: bool):
         return None
 
     def sink(event):
-        if event[0] == "ban":
+        if event[0] == "separator":
+            _, a, b, zs = event
+            print(f"separator: {a} {b} |" + "".join(f" {z}" for z in zs), file=sys.stderr)
+        elif event[0] == "ban":
             print(f"ban: no {event[1]} <- {event[2]}", file=sys.stderr)
         else:
             rule, tail, head, witness = event
@@ -173,13 +176,11 @@ def _cmd_recover(args) -> int:
         model = CGBackedModel(g, criterion=args.criterion)
     else:
         model = _load_model(args.model)
-        g = None
-    pat = recover_pattern(model)
-    result = recover_largest(pat, trace=_trace_sink(args.trace))
+    trace = _trace_sink(args.trace)
+    pat = recover_pattern(model, trace=trace)
+    result = recover_largest(pat, trace=trace)
     _emit_graph(result, args)
     if args.verify:
-        if g is None:
-            raise _InputError("--verify requires --from-cg")
         ok = pat == pattern_of(g) and result == largest_cg_oracle(g)
         print("PASS" if ok else "FAIL")
         return 0 if ok else 1
@@ -292,6 +293,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "pattern" and bool(args.file) == bool(args.model):
         parser.error("pattern needs exactly one of FILE or --model")
+    if args.command == "recover" and args.verify and not args.from_cg:
+        parser.error("--verify requires --from-cg")
     try:
         return args.fn(args)
     except (_InputError, ValueError) as exc:

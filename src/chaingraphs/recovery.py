@@ -116,7 +116,7 @@ class _WorkingGraph:
 # ---------------------------------------------------------------------------
 # stage 1: pattern recovery
 
-def recover_pattern(model: DependencyModel) -> HybridGraph:
+def recover_pattern(model: DependencyModel, trace=None) -> HybridGraph:
     """Reconstruct the pattern of the class inducing ``model``.
 
     Any model other than a ``CGBackedModel`` is read through ``dep_all``
@@ -145,6 +145,33 @@ def recover_pattern(model: DependencyModel) -> HybridGraph:
     holds bd(u), and the search reaches the separating boundary unless it
     removed the edge before.
 
+    *Nodes proven not anterior.*  The search keeps, per node x, the mask
+    na[x] of nodes proven not to be in an(x), and uses it to ask fewer
+    queries; the skeleton it finds is the same.
+    - Fact A.  Let S separate a from b.  If w is in an(a, b, S), then
+      S + w separates them too (shown under *Complex ends* below).  So a
+      dependent D<a, b | S + w> proves that w is outside an(a, b, S), the
+      union of an(x) over x in S + a + b.  After each removal on a PC
+      separator S, the search asks this of each current neighbour w of a
+      node x of S + a + b for which the fact is not yet known.
+    - Fact B.  bd(x) lies in an(x), so it never meets na[x]:
+      adj(x) - y - na[x] still holds bd(x), and the PC argument above
+      goes through with that smaller pool.
+    - Fact C.  If u is not in an(v), v is not reached from u at all, so by
+      the case split above bd(u) separates a non-adjacent u, v, and v's
+      pool need not be searched.
+    - The side rule.  v's pool is dropped only while "v not in an(u)" is
+      unknown, and u's pool symmetrically.  Facts only accumulate, so the
+      side whose fact arrived first was never dropped before it and is
+      never dropped after: it is searched at every size s and meets its
+      boundary at s = |bd|.  If both facts arrive together, neither side
+      is dropped.  Each of two other rules loses a true non-adjacency
+      (``tests/test_stage1_pc.py`` pins one graph for each): dropping
+      both pools once both facts hold, which never searches the pair
+      above s = 0 again; and dropping a side whenever its own fact holds,
+      so that when the second fact arrives at size s, the side searched
+      from then on has never tried the sizes below s.
+
     *Complex ends* (``_separator_dependent``).  At a chordless path a, w1
     ... wl, b, with S the separator recorded for the non-adjacent a, b,
     end w is tested by the one query D<a, b | S + w>.  The ends of a
@@ -165,11 +192,20 @@ def recover_pattern(model: DependencyModel) -> HybridGraph:
 
     Level-l directings are computed against the previous level in full
     before any is applied, so search order cannot matter.
+
+    With ``trace`` given, a ``CGBackedModel`` reports the separator
+    recorded for each non-adjacent pair, in sorted pair order, as one
+    ``("separator", a, b, labels)`` event before the complex ends are
+    searched.
     """
     nodes = sorted(model.nodes)
     n = len(nodes)
     if isinstance(model, CGBackedModel):
         sib, sep = _pc_skeleton(model, n)
+        if trace is not None:
+            for a, b in sorted(sep):
+                zs = tuple(nodes[i] for i in _bits(sep[a, b]))
+                trace(("separator", nodes[a], nodes[b], zs))
 
         def complex_end(a, b, w):
             return _separator_dependent(model, sep, a, b, w)
@@ -210,8 +246,18 @@ def _pc_skeleton(model: CGBackedModel, n: int) -> tuple[list[int], dict[tuple[in
     u < v, ask <u, v | Z> for the size-s subsets Z of adj(u) - v, then for
     those of adj(v) - u that are not subsets of adj(u), and drop the edge
     at the first independence.  It ends once no adjacent pair has s
-    neighbours besides each other.  Asking more than
-    ``depmodel.MAX_WALK_SETS`` queries raises ``BoundExceededError``.
+    neighbours besides each other.
+
+    Each pool leaves out na[x], the nodes proven not anterior to its node
+    x (Fact B of ``recover_pattern``).  After a removal on separator z,
+    D<u, v | z + w> is asked for each w outside z + u + v that is a
+    current neighbour of some x there with w not yet in na[x], and a
+    dependent answer adds w to na[x] for every x in z + u + v (Fact A).
+    Once u is known not to be anterior to v, bd(u) separates the pair
+    (Fact C), so v's pool is skipped, but only while the opposite fact is
+    still unknown: the side searched never switches.  These queries count
+    too: asking more than ``depmodel.MAX_WALK_SETS`` raises
+    ``BoundExceededError``.
     """
     bound, asked = depmodel.MAX_WALK_SETS, 0
 
@@ -225,6 +271,7 @@ def _pc_skeleton(model: CGBackedModel, n: int) -> tuple[list[int], dict[tuple[in
 
     full = (1 << n) - 1
     adj = [0] * n
+    na = [0] * n  # bit w of na[x]: w is proven not anterior to x
     sep: dict[tuple[int, int], int] = {}
     for u in range(n):
         for v in range(u + 1, n):
@@ -238,7 +285,9 @@ def _pc_skeleton(model: CGBackedModel, n: int) -> tuple[list[int], dict[tuple[in
         searched = False
         for u in range(n):
             for v in _bits(adj[u] >> (u + 1) << (u + 1)):
-                pool_u, pool_v = adj[u] & ~(1 << v), adj[v] & ~(1 << u)
+                u_out, v_out = na[v] >> u & 1, na[u] >> v & 1  # u not in an(v); v not in an(u)
+                pool_u = 0 if v_out and not u_out else adj[u] & ~(1 << v | na[u])
+                pool_v = 0 if u_out and not v_out else adj[v] & ~(1 << u | na[v])
                 if pool_u.bit_count() < s and pool_v.bit_count() < s:
                     continue
                 searched = True
@@ -249,14 +298,22 @@ def _pc_skeleton(model: CGBackedModel, n: int) -> tuple[list[int], dict[tuple[in
                     adj[u] &= ~(1 << v)
                     adj[v] &= ~(1 << u)
                     sep[u, v] = z
+                    # Fact A: D<u, v | z + w> puts w outside an(x) for each x
+                    # in z + u + v; ask it of neighbours w of an x not yet known
+                    xs, unknown = z | 1 << u | 1 << v, 0
+                    for x in _bits(xs):
+                        unknown |= adj[x] & ~na[x]
+                    for w in _bits(unknown & ~xs):
+                        if not independent(u, v, z | 1 << w):
+                            for x in _bits(xs):
+                                na[x] |= 1 << w
         if not searched:
             return adj, sep
 
 
 def _subsets(pool: int, size: int):
     """The size-``size`` submasks of ``pool``, in ``combinations`` order."""
-    for zs in combinations([1 << i for i in _bits(pool)], size):
-        yield sum(zs)
+    return map(sum, combinations([1 << i for i in _bits(pool)], size))
 
 
 def _separator_dependent(model: CGBackedModel, sep, a: int, b: int, w: int) -> bool:
@@ -423,12 +480,21 @@ def necessity_step(a: AnnotatedPattern | _WorkingGraph) -> Directing | None:
 def _semislide_with_anchor(w: _WorkingGraph, r0: int, r1: int, rk: int) -> bool:
     """Feasible semislide s0, ..., sm = r1 with s0 != r0 and an index
     n <= m-1 where {rk, s_n} is an edge and no edge joins r0 to s0 .. s_n.
+
+    The search enumerates simple paths, so it raises ``BoundExceededError``
+    once it would expand more than ``depmodel.MAX_WALK_SETS`` of them.
     """
     near_r0, near_rk = w.adj(r0), w.adj(rk)
+    bound, expanded = depmodel.MAX_WALK_SETS, 0
 
     def forward(step, seen, clear, qualified):
         # step: the moves out of the last node, a genuine arrow from s0 and
         # d-steps after it; clear: every node so far is nonadjacent to r0
+        nonlocal expanded
+        expanded += 1
+        if expanded > bound:
+            raise BoundExceededError(
+                f"anchored semislide search exceeds the bound of {bound} path expansions")
         for nxt in _bits(step & ~seen):
             if nxt == r1:
                 if qualified:

@@ -140,11 +140,51 @@ def test_recover_verify(files, capsys):
     assert out.endswith("PASS\n")
 
 
-def test_recover_trace(files, tmp_path, capsys):
+def test_recover_verify_needs_from_cg(files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["recover", "--model", files["indep.model"], "--verify"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --verify requires --from-cg" in captured.err
+
+
+def test_recover_trace(tmp_path, capsys):
+    text = "nodes p q u v\np -- q\nu -> p\nv -> q\n"
     gc = tmp_path / "gc.cg"
-    gc.write_text("nodes p q u v\np -- q\nu -> p\nv -> q\n")
+    gc.write_text(text)
+    assert run(["recover", "--from-cg", str(gc)]) == 0
+    plain = capsys.readouterr().out
     assert run(["recover", "--from-cg", str(gc), "--trace"]) == 0
-    assert "ban:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == plain
+    assert "ban:" in captured.err
+    # one separator line per non-adjacent pair, in sorted pair order, before
+    # the stage-2 events, and each set separates its pair
+    g = chaingraphs.parse_graph(text)
+    lines = captured.err.splitlines()
+    separators = [line for line in lines if line.startswith("separator:")]
+    assert lines[:len(separators)] == separators
+    pairs = []
+    for line in separators:
+        ends, _, zs = line.removeprefix("separator: ").partition(" |")
+        a, b = ends.split()
+        pairs.append((a, b))
+        assert chaingraphs.moralization_represented(
+            g, chaingraphs.Triplet([a], [b], zs.split())), line
+    assert pairs == [p for p in combinations(g.nodes, 2) if not g.has_edge(*p)]
+
+
+def test_largest_over_anchored_semislide_bound_exit_2(tmp_path, monkeypatch, capsys):
+    pat = tmp_path / "pat.cg"
+    pat.write_text("nodes a b c d e\na -- d\nb -- d\nc -- d\nd -- e\n"
+                   "c -> a\ne -> a\nc -> b\ne -> b\n")
+    monkeypatch.setattr(chaingraphs.depmodel, "MAX_WALK_SETS", 5)
+    assert run(["largest", str(pat)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: anchored semislide search exceeds the bound "
+                            "of 5 path expansions\n")
 
 
 def test_recover_model_over_walk_bound_exit_2(tmp_path, capsys):

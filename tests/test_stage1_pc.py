@@ -8,7 +8,9 @@ recorded separator is checked to separate its pair and to be the one that
 search start implies (all other nodes for a pair apart in the moral graph,
 moral neighbours otherwise), and at every chordless path that stage 1
 examines the one-query answer for both ends is compared with
-``dep_plus``.
+``dep_plus``.  The fact the skeleton search prunes with is checked on the
+graph itself: for each PC separator S of a, b, every w with a dependent
+D<a, b | S + w> lies outside an(a, b, S).
 """
 
 import random
@@ -22,8 +24,10 @@ from chaingraphs import (
     dep_all,
     dep_plus,
     moral_graph,
+    parse_graph,
     pattern_of,
     recover_end_to_end,
+    recover_largest,
     recover_pattern,
 )
 from chaingraphs import recovery
@@ -77,8 +81,19 @@ class Differential:
                     assert sep[u, v] == full & ~(1 << u | 1 << v), (g, criterion, u, v)
                 elif not adjacent:
                     assert not sep[u, v] & ~(moral[u] | moral[v]), (g, criterion, u, v)
+        anc = g.anc_masks
         for (u, v), z in sep.items():
             assert model.independent_mask(1 << u, 1 << v, z), (g, criterion, u, v, z)
+            if z == full & ~(1 << u | 1 << v):
+                continue
+            # Fact A: a dependent D<u, v | z + w> puts w outside an(u, v, z)
+            xs, anterior = z | 1 << u | 1 << v, 0
+            for x in range(len(nodes)):
+                if xs >> x & 1:
+                    anterior |= anc[x]
+            for w in range(len(nodes)):
+                if not xs >> w & 1 and not model.independent_mask(1 << u, 1 << v, z | 1 << w):
+                    assert not anterior >> w & 1, (g, criterion, u, v, z, w)
 
     def assert_both_answers_seen(self):
         assert all(self.ends.values()), self.ends
@@ -111,23 +126,82 @@ def test_pc_path_matches_walk_on_block_draws(monkeypatch, block_chain_graph):
     d.assert_both_answers_seen()
 
 
+# Each graph loses a true non-adjacency to one wrong form of the side rule
+# in ``_pc_skeleton``: dropping both pools once both "not anterior" facts
+# hold keeps v05 - v08 in the first; dropping a side whenever its own fact
+# holds, so that the searched side may switch, keeps v03 - v05 in the second.
+PINNED = ("""\
+nodes v00 v01 v02 v03 v04 v05 v06 v07 v08
+v01 -- v05
+v03 -- v07
+v00 -> v07
+v00 -> v08
+v02 -> v01
+v04 -> v01
+v02 -> v08
+v04 -> v03
+v04 -> v05
+v04 -> v07
+v06 -> v05
+v05 -> v07
+v08 -> v07
+""", """\
+nodes v00 v01 v02 v03 v04 v05 v06 v07 v08 v09 v10 v11
+v00 -- v08
+v04 -- v11
+v00 -> v03
+v00 -> v07
+v00 -> v09
+v00 -> v11
+v01 -> v02
+v01 -> v05
+v08 -> v01
+v01 -> v09
+v01 -> v11
+v03 -> v02
+v04 -> v02
+v07 -> v02
+v11 -> v02
+v03 -> v06
+v10 -> v03
+v08 -> v04
+v10 -> v04
+v05 -> v06
+v07 -> v05
+v10 -> v05
+v08 -> v06
+v08 -> v07
+v08 -> v09
+v10 -> v11
+""")
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("text", PINNED, ids=("both-facts", "side-switch"))
+def test_pc_side_rule_on_pinned_graphs(monkeypatch, text, criterion):
+    Differential(monkeypatch).check(parse_graph(text), criterion)
+
+
 def test_stage1_and_end_to_end_at_scale(block_chain_graph, greedy_merge):
-    """Sparse draws at n = 14..30: the pattern, and the largest chain graph
-    by merging.  The times and query counts are printed (``pytest -s``)."""
+    """Sparse draws at n = 14..30, then two draws each at n = 32, 36 and 40
+    with about three arrows per node: the pattern, and the largest chain
+    graph by merging.  The times and query counts are printed
+    (``pytest -s``)."""
     rng = random.Random(1990)
-    for n in range(14, 31):
+    rows = [(n, 4, ()) for n in range(14, 31)] + [(n, 2, (0.3, 0.3, 0.08)) for n in (32, 36, 40)]
+    for n, draws, density in rows:
         times, queries = [], []
-        for _ in range(4):
-            g = block_chain_graph(rng, n)
+        for _ in range(draws):
+            g = block_chain_graph(rng, n, *density)
             model = CGBackedModel(g)
             start = time.perf_counter()
             pattern = recover_pattern(model)
             times.append(time.perf_counter() - start)
             queries.append(len(model._memo))
             assert pattern == pattern_of(g)
-            assert recover_end_to_end(CGBackedModel(g)) == greedy_merge(g)
-        print(f"n = {n}: stage 1 median {median(times):.3f} s, max {max(times):.3f} s, "
-              f"queries {min(queries)}..{max(queries)}")
+            assert recover_largest(pattern) == greedy_merge(g)
+        print(f"n = {n}, density {density or 'default'}: stage 1 median {median(times):.3f} s, "
+              f"max {max(times):.3f} s, queries {min(queries)}..{max(queries)}")
 
 
 @pytest.mark.parametrize("criterion", CRITERIA)

@@ -22,14 +22,18 @@ block sampler are fixtures in ``conftest.py``.
 
 import random
 
+import pytest
+
 from chaingraphs import (
     AnnotatedPattern,
     feasible_semislide_exists,
     largest_cg_oracle,
+    parse_graph,
     pattern_of,
     recover_largest,
 )
-from chaingraphs import recovery
+from chaingraphs import depmodel, recovery
+from chaingraphs.complexes import BoundExceededError
 from chaingraphs.enumeration import random_chain_graph
 from chaingraphs.graph import _bits
 
@@ -253,6 +257,22 @@ def test_rules_agree_on_random_draws(monkeypatch):
         labels = [f"v{i}" for i in range(n)]
         graphs += [random_chain_graph(rng, labels, p_edge=0.4) for _ in range(30)]
     _assert_all_fired(_drive(monkeypatch, graphs))
+
+
+# a 5-node pattern whose doublecycle search runs the anchored semislide DFS;
+# its longest call expands six paths
+ANCHORED = "nodes a b c d e\na -- d\nb -- d\nc -- d\nd -- e\nc -> a\ne -> a\nc -> b\ne -> b\n"
+
+
+def test_anchored_semislide_budget(monkeypatch):
+    pattern = parse_graph(ANCHORED)
+    largest = recover_largest(pattern)
+    monkeypatch.setattr(depmodel, "MAX_WALK_SETS", 6)
+    assert recover_largest(pattern) == largest
+    monkeypatch.setattr(depmodel, "MAX_WALK_SETS", 5)
+    with pytest.raises(BoundExceededError,
+                       match="anchored semislide search exceeds the bound of 5 path expansions"):
+        recover_largest(pattern)
 
 
 # ---------------------------------------------------------------------------
