@@ -67,18 +67,26 @@ def _require_cg(g: HybridGraph, path: str) -> None:
                           f"(directed pseudocycle: {' '.join(cyc)})")
 
 
-def _parse_triplet_arg(text: str):
+def _parse_triplet_arg(text: str, g: HybridGraph):
+    """The triplet ``text`` over the nodes of ``g``; errors name the text."""
     try:
-        return parse_triplet(text)
+        t = parse_triplet(text)
+        t.validate_over(g.nodes)
     except InvalidTripletError as exc:
         raise _InputError(f"triplet {text!r}: {exc}") from exc
+    return t
 
 
 def _emit_graph(g: HybridGraph, args) -> None:
-    sys.stdout.write(serialize_graph(g))
+    """Write the DOT file first, if asked, so that a failed write leaves
+    stdout empty; then print the graph."""
     if getattr(args, "dot", None):
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(g))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(to_dot(g))
+        except OSError as exc:
+            raise _InputError(f"cannot write {args.dot}: {exc.strerror}") from exc
+    sys.stdout.write(serialize_graph(g))
 
 
 def _format_complex(cpx) -> str:
@@ -122,7 +130,7 @@ def _cmd_moralize(args) -> int:
 def _cmd_sep(args) -> int:
     g = _load_graph(args.file)
     _require_cg(g, args.file)
-    t = _parse_triplet_arg(args.triplet)
+    t = _parse_triplet_arg(args.triplet, g)
     fn = moralization_represented if args.criterion == "moral" else c_represented
     if fn(g, t):
         print("SEPARATED")

@@ -269,9 +269,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _reach(step: Sequence[int], seed: int, avoid: int = 0) -> int:
+def _reach(step: Sequence[int], seed: int, avoid: int = 0, stop: int = 0) -> int:
     """Nodes reachable from ``seed`` (included) by ``step`` moves that
-    never enter ``avoid``: a breadth-first search on bitmasks."""
+    never enter ``avoid``: a breadth-first search on bitmasks.
+
+    The search returns early, with the nodes reached so far, as soon as a
+    node it has just reached lies in ``stop``.  The result is then a subset
+    of the full set that meets ``stop``, so ``_reach(...) & stop`` is
+    nonzero exactly when it is for the full set: a caller that asks only
+    whether the search reaches ``stop`` gets the same answer.  With the
+    default ``stop = 0`` the result is always the full set.
+    """
     reach = frontier = seed
     while frontier:
         nxt = 0
@@ -281,6 +289,8 @@ def _reach(step: Sequence[int], seed: int, avoid: int = 0) -> int:
             frontier ^= low
         frontier = nxt & ~(reach | avoid)
         reach |= frontier
+        if frontier & stop:
+            break
     return reach
 
 

@@ -39,7 +39,7 @@ functions convert labels and ban pairs to masks at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, count
+from itertools import combinations, count
 
 from . import depmodel
 from .complexes import BoundExceededError, _chordless_paths, pattern_of
@@ -291,9 +291,16 @@ def _pc_skeleton(model: CGBackedModel, n: int) -> tuple[list[int], dict[tuple[in
                 if pool_u.bit_count() < s and pool_v.bit_count() < s:
                     continue
                 searched = True
-                tries = chain(_subsets(pool_u, s),
-                              (z for z in _subsets(pool_v, s) if z & ~pool_u))
-                z = next((z for z in tries if independent(u, v, z)), None)
+                z = None
+                for t in _subsets(pool_u, s):
+                    if independent(u, v, t):
+                        z = t
+                        break
+                if z is None:
+                    for t in _subsets(pool_v, s):
+                        if t & ~pool_u and independent(u, v, t):
+                            z = t
+                            break
                 if z is not None:
                     adj[u] &= ~(1 << v)
                     adj[v] &= ~(1 << u)

@@ -90,8 +90,9 @@ def ug_separated(u_graph: HybridGraph, t: Triplet) -> bool:
     if any(u_graph.par_masks):
         raise GraphError("ug_separated expects an all-line graph")
     t.validate_over(u_graph.nodes)
-    reach = _reach(u_graph.sib_masks, u_graph.mask_of(t.X), u_graph.mask_of(t.Z))
-    return not reach & u_graph.mask_of(t.Y)
+    ym = u_graph.mask_of(t.Y)
+    reach = _reach(u_graph.sib_masks, u_graph.mask_of(t.X), u_graph.mask_of(t.Z), stop=ym)
+    return not reach & ym
 
 
 @_per_graph
@@ -126,13 +127,29 @@ def represented_mask(g: HybridGraph, xm: int, ym: int, zm: int) -> bool:
     """Moralization criterion on bitmask node sets (no validation).
 
     One breadth-first search from X in the virtual-node moral graph, kept
-    out of Z and out of the ancestral set of X | Y | Z.
+    out of Z and out of the ancestral set A of X | Y | Z, stopped at the
+    first node of Y it reaches.  X, Y and Z are pairwise disjoint, as a
+    ``Triplet`` guarantees.
+
+    - *Adjacent pair.*  When X = {x} and some y in Y is adjacent to x in G,
+      the answer is "connected" at once.  Both x and y lie in A, so their
+      edge is an edge of the moral graph of G_A, and y is not in Z.  The
+      test reads ``step[x]``, which holds x's neighbours in G plus virtual
+      bits, and ``ym`` never holds a virtual bit.
+    - *Early stop.*  The answer is only whether the search reaches Y.  Y
+      lies in A and outside Z, so it never meets the avoided set, and the
+      first Y node reached fixes the answer.
     """
     step, anc = _moral_steps(g)
+    if xm.bit_count() == 1 and step[xm.bit_length() - 1] & ym:
+        return False
     a_mask = 0
-    for i in _bits(xm | ym | zm):
-        a_mask |= anc[i]
-    return not _reach(step, xm, zm | ~a_mask) & ym
+    rest = xm | ym | zm
+    while rest:
+        low = rest & -rest
+        a_mask |= anc[low.bit_length() - 1]
+        rest ^= low
+    return not _reach(step, xm, zm | ~a_mask, stop=ym) & ym
 
 
 def moralization_represented(g: HybridGraph, t: Triplet) -> bool:
@@ -333,7 +350,16 @@ def c_active_mask(g: HybridGraph, xm: int, ym: int, zm: int) -> bool:
       stop at any unshielded v or any v of F.
 
     Each state is expanded once: linear in n, times the mask width.
+
+    When X = {x} and x is adjacent to some y in Y, the answer is "active"
+    at once, since X, Y and Z are pairwise disjoint and the one-edge trail
+    x, y is active.  A line x - y is one section {x, y} whose two
+    delimiters are trail ends: it is not head-to-head and does not meet Z,
+    so it is not blocked.  An arrow gives two one-node sections {x} and
+    {y}; neither is head-to-head (each has a trail end) and neither meets Z.
     """
+    if xm.bit_count() == 1 and g.adj_mask(xm.bit_length() - 1) & ym:
+        return True
     comp, comp_par = _component_masks(g)
     par, chi, sib, desc = g.par_masks, g.chi_masks, g.sib_masks, g.desc_masks
     free = {}       # node outside Z -> (its Z-free component, that part's parents)

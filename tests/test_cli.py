@@ -85,7 +85,7 @@ def test_sep_verdicts(files, capsys):
 def test_sep_bad_triplet(files, capsys):
     for criterion in ("moral", "c"):
         assert run(["sep", files["ga.cg"], "a | z |", "--criterion", criterion]) == 2
-        assert capsys.readouterr().err == "error: unknown nodes: ['z']\n"
+        assert capsys.readouterr().err == "error: triplet 'a | z |': unknown nodes: ['z']\n"
     assert run(["sep", files["ga.cg"], "a | a |"]) == 2
 
 
@@ -277,6 +277,18 @@ def test_dot_export(files, tmp_path, capsys):
     assert run(["pattern", files["ga.cg"], "--dot", str(dot)]) == 0
     capsys.readouterr()
     assert dot.read_text().startswith("digraph")
+
+
+def test_dot_export_unwritable_exit_2(files, tmp_path, capsys):
+    dot = tmp_path / "missing" / "out.dot"
+    for argv in (["moralize", files["ga.cg"]], ["pattern", files["ga.cg"]],
+                 ["largest", files["ga_lines.cg"]], ["recover", "--from-cg", files["ga.cg"]]):
+        assert run(argv + ["--dot", str(dot)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot write {dot}: No such file or directory\n"
+        assert run(argv) == 0  # the same command without --dot succeeds
+        capsys.readouterr()
 
 
 def test_output_deterministic(files, capsys):

@@ -29,6 +29,7 @@ from chaingraphs import (
     underlying,
 )
 from chaingraphs.enumeration import all_chain_graphs, all_hybrid_graphs, random_chain_graph
+from chaingraphs.graph import _reach
 
 
 def test_single_node_graph():
@@ -326,3 +327,23 @@ def test_descendants_duality(cgs3):
         for u in g.nodes:
             for v in descendants(g, u):
                 assert u in ancestral_set(g, {v})
+
+
+def test_reach_stop_only_cuts_the_search_short():
+    # a search told to stop at `stop` meets it exactly when the full search
+    # meets it outside the seed, and otherwise returns the full set
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        sparse = rng.random() < 0.5
+        step = [rng.getrandbits(n) & (rng.getrandbits(n) if sparse else -1) for _ in range(n)]
+        seed = rng.getrandbits(n) & rng.getrandbits(n) or 1
+        avoid = rng.getrandbits(n) & rng.getrandbits(n)
+        stop = rng.getrandbits(n) & rng.getrandbits(n)
+        full = _reach(step, seed, avoid)
+        got = _reach(step, seed, avoid, stop)
+        assert got & ~full == 0
+        if full & stop & ~seed:
+            assert got & stop
+        else:
+            assert got == full

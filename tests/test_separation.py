@@ -25,6 +25,7 @@ from chaingraphs import (
     slides_to,
     ug_separated,
 )
+from chaingraphs.separation import c_active_mask, represented_mask
 
 Z_E = frozenset("ceg")
 
@@ -216,6 +217,36 @@ def _assert_literal_definitions(g):
 def test_criteria_match_definitions_on_all_4_node_chain_graphs(cgs4):
     for g in cgs4:
         _assert_literal_definitions(g)
+
+
+def test_adjacent_pairs_are_connected_by_the_definitions(cgs4):
+    # both criteria answer an adjacent pair at once; the literal
+    # definitions must call every such pair connected, whatever Z is
+    for g in cgs4:
+        moral = {}    # ancestral set -> its moral graph
+        blocked = {}  # (section, Z) -> section_blocked
+
+        def is_blocked(trail, s, z):
+            if (s, z) not in blocked:
+                blocked[s, z] = section_blocked(g, trail, s, z)
+            return blocked[s, z]
+
+        for u, v in g.edges:
+            for x, y in ((u, v), (v, u)):
+                rest = [w for w in g.nodes if w not in (x, y)]
+                trails = [(tr, sections_of(tr)) for tr in enumerate_trails(g, x, y)]
+                for k in range(len(rest) + 1):
+                    for z in map(frozenset, combinations(rest, k)):
+                        xm, ym, zm = g.mask_of(x), g.mask_of(y), g.mask_of(z)
+                        assert not represented_mask(g, xm, ym, zm)
+                        assert c_active_mask(g, xm, ym, zm)
+                        a = ancestral_set(g, {x, y} | z)
+                        if a not in moral:
+                            moral[a] = moral_graph(induced_subgraph(g, a))
+                        t = Triplet({x}, {y}, z)
+                        assert not ug_separated(moral[a], t), (g, t)
+                        assert any(not any(is_blocked(tr, s, z) for s in secs)
+                                   for tr, secs in trails), (g, t)
 
 
 def test_criteria_match_definitions_on_5_node_sample(reps5):
