@@ -12,6 +12,7 @@ import functools
 import sys
 
 from .complexes import (
+    BoundExceededError,
     enumerate_complexes,
     equivalence_class,
     largest_cg_oracle,
@@ -187,12 +188,17 @@ def _cmd_recover(args) -> int:
     trace = _trace_sink(args.trace)
     pat = recover_pattern(model, trace=trace)
     result = recover_largest(pat, trace=trace)
+    ok = None
+    if args.verify:  # checked before any output, so that a refused check prints nothing
+        try:
+            ok = pat == pattern_of(g) and result == largest_cg_oracle(g)
+        except BoundExceededError as exc:
+            raise _InputError(f"--verify: {exc}") from exc
     _emit_graph(result, args)
-    if args.verify:
-        ok = pat == pattern_of(g) and result == largest_cg_oracle(g)
-        print("PASS" if ok else "FAIL")
-        return 0 if ok else 1
-    return 0
+    if ok is None:
+        return 0
+    print("PASS" if ok else "FAIL")
+    return 0 if ok else 1
 
 
 def _cmd_equiv(args) -> int:

@@ -4,6 +4,17 @@ A complex is an induced subgraph u -> w1 - ... - wr <- v: two arrows into a
 line path, nonadjacent endpoints, and no further edges among its nodes.
 Two chain graphs are Markov equivalent iff they share the underlying graph
 and the complex set; the pattern keeps exactly the complex arrows directed.
+
+The pattern and the equivalence test never list complexes.  Which arrows
+start or end a complex is one reachability search per pair of
+nonadjacent parents of a line component (``_complex_parents``), and two
+chain graphs with the same skeleton and the same complex arrows have the
+same complexes (``markov_equivalent``).  The chordless paths themselves,
+which can take exponential time to list, are still listed by
+``enumerate_complexes``, ``complex_parent_pairs``, ``equivalence_class``
+and the class oracles built on it, and by stage 1 of recovery
+(``recovery.recover_pattern``), which directs complex ends with
+``_chordless_paths``.
 """
 
 from __future__ import annotations
@@ -11,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import (GraphError, HybridGraph, NotChainGraphError, _bits, _per_graph, _reach,
-                    is_chain_graph)
+from .graph import (GraphError, HybridGraph, NotChainGraphError, _bits, _component_masks,
+                    _per_graph, _reach, is_chain_graph)
 
 __all__ = [
     "Complex",
@@ -107,6 +118,62 @@ def complex_parent_pairs(g: HybridGraph, mask: int | None = None) -> list[tuple[
     return sorted({(p[0], p[-1]) for p in _chordless_paths(g.sib_masks, g.par_masks, adj, mask)})
 
 
+def _complex_parents(g: HybridGraph) -> list[int]:
+    """Per node x, the mask of the nodes a whose arrow a -> x is a complex
+    arrow of the chain graph ``g``: the first or last arrow of a complex.
+
+    Each line component τ with two or more parents is handled one pair
+    a < b of nonadjacent parents at a time.  Every x in ch(a) ∩ ch(b) ∩ τ
+    gives a -> x and b -> x.  Let R be the nodes that lines reach from
+    ch(b) ∩ τ − ch(a) without entering ch(a) ∪ ch(b).  Every w in
+    ch(a) ∩ τ − ch(b) with a line into R gives a -> w, and b gets the same
+    with a and b swapped.
+
+    Why this finds exactly the complex arrows:
+
+    - A complex a -> w1 - ... - wl <- b has w1 in ch(a), wl in ch(b), and
+      a, b nonadjacent parents of the component τ of its line path.  It is
+      chordless, so its interior w2 ... wl-1 lies in τ outside
+      ch(a) ∪ ch(b).  The case l = 1 is x in ch(a) ∩ ch(b).
+    - Conversely, take a line path from w in ch(a) − ch(b) to ch(b) − ch(a)
+      whose inner nodes avoid ch(a) ∪ ch(b).  A shortest such path is
+      chordless, because a chord would give a shorter path under the same
+      constraints.
+    - A parent of τ meets τ only by arrows out of it: a line, or an arrow
+      back into it, would close a directed pseudocycle.  So a and b touch
+      the path only at its ends, and a, path, b is a complex.
+    """
+    sib, chi = g.sib_masks, g.chi_masks
+    comp, comp_par = _component_masks(g)
+    out = [0] * len(g)
+    for i, c in enumerate(comp):
+        p = comp_par[i]
+        if not p & (p - 1) or c & -c != 1 << i:
+            continue  # under two parents, or not the component's lowest node
+        for a in _bits(p):
+            ch_a = chi[a] & c
+            for b in _bits(p & ~g.adj_mask(a) & ~((2 << a) - 1)):
+                ch_b = chi[b] & c
+                for x in _bits(ch_a & ch_b):
+                    out[x] |= (1 << a) | (1 << b)
+                only_a, only_b = ch_a & ~ch_b, ch_b & ~ch_a
+                if not only_a or not only_b:
+                    continue
+                avoid = ch_a | ch_b
+                reach = _reach(sib, only_b, avoid)
+                hit = False
+                for w in _bits(only_a):
+                    if sib[w] & reach:
+                        out[w] |= 1 << a
+                        hit = True
+                if hit:  # otherwise no such path joins the two sides
+                    reach = _reach(sib, only_a, avoid)
+                    for w in _bits(only_b):
+                        if sib[w] & reach:
+                            out[w] |= 1 << b
+    return out
+
+
 def pattern_of(g: HybridGraph) -> HybridGraph:
     """Underlying graph with exactly the complex arrows restored.
 
@@ -114,25 +181,35 @@ def pattern_of(g: HybridGraph) -> HybridGraph:
     """
     if not is_chain_graph(g):
         raise NotChainGraphError("pattern is defined for chain graphs only")
-    n = len(g)
-    sib = [g.adj_mask(i) for i in range(n)]
-    par = [0] * n
-    for p in _complex_paths(g):
-        for tail, head in ((p[0], p[1]), (p[-1], p[-2])):
+    par = _complex_parents(g)
+    sib = [(s | p | c) & ~q for s, p, c, q in zip(g.sib_masks, g.par_masks, g.chi_masks, par)]
+    for head, tails in enumerate(par):
+        for tail in _bits(tails):
             sib[tail] &= ~(1 << head)
-            sib[head] &= ~(1 << tail)
-            par[head] |= 1 << tail
     return HybridGraph._of_masks(g.nodes, sib, par)
 
 
 def markov_equivalent(g: HybridGraph, h: HybridGraph) -> bool:
-    """Purely graphical test: same underlying graph and same complexes."""
+    """Purely graphical test: same underlying graph and same complexes,
+    decided by comparing the two patterns.
+
+    Lemma: two chain graphs with the same skeleton and the same complex
+    arrows have the same complexes.  Take a complex
+    κ = a -> w1 - ... - wl <- b of g.  Its two arrows are complex arrows,
+    so h has them.  Suppose some inner edge of κ is an arrow in h.  The
+    first such arrow from the left cannot point left, or
+    a -> w1 - ... - wi <- wi+1 is a complex of h; by symmetry the last one
+    cannot point right.  So a right-pointing arrow is followed, after lines
+    only, by a left-pointing one, and together they form a complex of h.
+    Each of its arrows is then a complex arrow of h but a line in g's
+    pattern, a contradiction.  So κ is a complex of h, and the converse
+    holds by symmetry.
+    """
     if g.nodes != h.nodes:
         raise GraphError("graphs are over different node sets")
     if not is_chain_graph(g) or not is_chain_graph(h):
         raise NotChainGraphError("Markov equivalence is defined for chain graphs")
-    return (all(g.adj_mask(i) == h.adj_mask(i) for i in range(len(g)))
-            and _complex_paths(g) == _complex_paths(h))
+    return pattern_of(g) == pattern_of(h)
 
 
 def is_larger(h: HybridGraph, g: HybridGraph) -> bool:

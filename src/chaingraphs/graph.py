@@ -134,10 +134,10 @@ class HybridGraph:
     @classmethod
     def _of_masks(cls, nodes: Sequence[str], sib: Sequence[int], par: Sequence[int]):
         """Graph from line and parent masks over labels already sorted and
-        valid.  Nothing is checked; both lists are copied."""
+        valid.  Nothing is checked; both lists are copied.  The label index
+        is left unset until :meth:`index_of` first needs it."""
         g = cls.__new__(cls)
         g._nodes = tuple(nodes)
-        g._index = {label: i for i, label in enumerate(g._nodes)}
         g._sib = list(sib)
         g._par = list(par)
         g._chi = chi = [0] * len(g._par)
@@ -215,7 +215,11 @@ class HybridGraph:
 
     def index_of(self, label: str) -> int:
         try:
-            return self._index[label]
+            index = self._index
+        except AttributeError:  # a graph built from masks makes it on first use
+            index = self._index = {label: i for i, label in enumerate(self._nodes)}
+        try:
+            return index[label]
         except KeyError:
             raise GraphError(f"unknown node: {label!r}") from None
 
@@ -336,16 +340,21 @@ def induced_subgraph(g: HybridGraph, t: Iterable[str]) -> HybridGraph:
 def _component_masks(g: HybridGraph) -> tuple[list[int], list[int]]:
     """Per node index: the node's connectivity component, and the parents
     of that component, as masks."""
+    sib, par = g.sib_masks, g.par_masks
     comp = [0] * len(g)
     comp_par = [0] * len(g)
     for i in range(len(g)):
-        if not comp[i]:
-            c = _reach(g.sib_masks, 1 << i)
-            p = 0
-            for j in _bits(c):
-                p |= g.par_masks[j]
-            for j in _bits(c):
-                comp[j], comp_par[j] = c, p
+        if comp[i]:
+            continue
+        if not sib[i]:  # a one-node component needs no search
+            comp[i], comp_par[i] = 1 << i, par[i]
+            continue
+        c = _reach(sib, 1 << i)
+        p = 0
+        for j in _bits(c):
+            p |= par[j]
+        for j in _bits(c):
+            comp[j], comp_par[j] = c, p
     return comp, comp_par
 
 
@@ -364,19 +373,30 @@ def is_chain_graph(g: HybridGraph) -> bool:
 
     Checked on masks by peeling off connectivity components whose parents
     are all peeled already; the graph is a chain graph iff every component
-    peels.  A component holding one of its own parents never does.
+    peels.  The peel keeps one entry per component.  Components without
+    parents are peeled before the first round, by never entering ``rest``.
+    A component holding one of its own parents never peels.
     """
     comp, comp_par = _component_masks(g)
-    rest = (1 << len(g)) - 1  # nodes not yet peeled
-    while rest:
+    todo = []  # (component, its parents), for components with parents
+    rest = 0   # nodes not yet peeled
+    for i, c in enumerate(comp):
+        if comp_par[i] and c & -c == 1 << i:
+            todo.append((c, comp_par[i]))
+            rest |= c
+    while todo:
+        left = []
         ready = 0
-        for i in _bits(rest):
-            if not comp_par[i] & rest:
-                ready |= comp[i]
+        for c, p in todo:
+            if p & rest:
+                left.append((c, p))
+            else:
+                ready |= c
         if not ready:
-            break
-        rest &= ~ready
-    return not rest
+            return False
+        rest ^= ready
+        todo = left
+    return True
 
 
 def find_directed_pseudocycle(g: HybridGraph) -> list[str] | None:

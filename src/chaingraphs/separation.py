@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # complex_parent_pairs is unused here; bench/spans.py patches this name
-from .complexes import _complex_paths, complex_parent_pairs  # noqa: F401
+from .complexes import complex_parent_pairs  # noqa: F401
 from .graph import (
     EdgeKind,
     GraphError,
@@ -56,13 +56,20 @@ __all__ = [
 # moralization criterion
 
 def moral_graph(g: HybridGraph) -> HybridGraph:
-    """Underlying graph plus a line joining the parents of every complex."""
+    """Underlying graph plus a line joining the parents of every complex.
+
+    Any two parents of a line component are adjacent or the parents of a
+    complex (see ``_moral_steps``), so this joins every two parents of
+    each line component.
+    """
     if not is_chain_graph(g):
         raise NotChainGraphError("moral graph is defined for chain graphs")
+    comp, comp_par = _component_masks(g)
     sib = [g.adj_mask(i) for i in range(len(g))]
-    for p in _complex_paths(g):
-        sib[p[0]] |= 1 << p[-1]
-        sib[p[-1]] |= 1 << p[0]
+    for i, p in enumerate(comp_par):
+        if comp[i] & -comp[i] == 1 << i:
+            for j in _bits(p):
+                sib[j] |= p & ~(1 << j)
     return HybridGraph._of_masks(g.nodes, sib, [0] * len(g))
 
 

@@ -80,6 +80,15 @@ def _feasible_merges(g):
             yield merged
 
 
+def _complex_join(g):
+    """The moral graph by its definition: the underlying graph plus a line
+    joining the two parents of every listed complex."""
+    edges = {pair: EdgeKind.LINE for pair in g.edges}
+    for cpx in enumerate_complexes(g):
+        edges[cpx.parents] = EdgeKind.LINE
+    return HybridGraph(g.nodes, edges)
+
+
 def _admits_no_merge(g):
     return next(_feasible_merges(g), None) is None
 
@@ -115,6 +124,11 @@ def greedy_merge():
     """The largest chain graph of g's class (Studeny, Roverato & Stepanova,
     Kybernetika 45, 2009): merge components while a merge is feasible."""
     return _greedy_merge
+
+
+@pytest.fixture(scope="session")
+def complex_join():
+    return _complex_join
 
 
 @pytest.fixture(scope="session")

@@ -254,13 +254,13 @@ def test_criterion_7_supporting_lemmas(small_cgs, sweep5):
     print("ACCEPTANCE 7 supporting lemma suite: PASS")
 
 
-def test_criterion_8_moral_graph_variants():
+def test_criterion_8_moral_graph_variants(complex_join):
     rng = random.Random(SEED)
     mismatches = 0
     for _ in range(10000):
         n = rng.randint(2, 6)
         g = random_chain_graph(rng, "abcdef"[:n])
-        if moral_graph(g) != moral_graph_component_variant(g):
+        if not moral_graph(g) == moral_graph_component_variant(g) == complex_join(g):
             mismatches += 1
     assert mismatches == 0
     print("ACCEPTANCE 8 moral-graph definitional equivalence: PASS")

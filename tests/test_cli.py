@@ -140,6 +140,23 @@ def test_recover_verify(files, capsys):
     assert out.endswith("PASS\n")
 
 
+def test_recover_verify_over_bound_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "dag.cg"
+
+    def write_dag(k):  # the first k pairs of eight labels, all arrows
+        pairs = list(combinations("abcdefgh", 2))[:k]
+        path.write_text("nodes a b c d e f g h\n" + "".join(f"{u} -> {v}\n" for u, v in pairs))
+
+    write_dag(12)
+    assert run(["recover", "--from-cg", str(path), "--verify"]) == 0
+    verified = capsys.readouterr()
+    assert run(["recover", "--from-cg", str(path)]) == 0
+    assert verified == (capsys.readouterr().out + "PASS\n", "")
+    write_dag(14)
+    assert run(["recover", "--from-cg", str(path), "--verify"]) == 2
+    assert capsys.readouterr() == ("", "error: --verify: 14 edges exceeds bound 12\n")
+
+
 def test_recover_verify_needs_from_cg(files, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["recover", "--model", files["indep.model"], "--verify"])

@@ -1,3 +1,7 @@
+import random
+import time
+from itertools import combinations
+
 import pytest
 
 from chaingraphs import (
@@ -14,7 +18,11 @@ from chaingraphs import (
     largest_cg_oracle,
     line,
     markov_equivalent,
+    moral_graph,
+    parse_graph,
     pattern_of,
+    recover_largest,
+    serialize_graph,
     underlying,
 )
 
@@ -164,3 +172,75 @@ def test_pattern_arrows_in_every_member(cgs4):
         pat_arrows = set(pattern_of(g).arrows())
         for member in equivalence_class(g):
             assert pat_arrows <= set(member.arrows())
+
+
+# ---------------------------------------------------------------------------
+# the pattern by reachability against the pattern by listed complexes
+
+def _literal_pattern(g):
+    """The pattern by its definition: the skeleton, with the two end arrows
+    of every listed complex kept."""
+    kept = set()
+    for cpx in enumerate_complexes(g):
+        p = cpx.path
+        kept |= {(p[0], p[1]), (p[-1], p[-2])}
+    specs = [arrow(t, h) for t, h in g.arrows() if (t, h) in kept]
+    specs += [line(u, v) for u, v in g.edges if (u, v) not in kept and (v, u) not in kept]
+    return build_graph(g.nodes, specs)
+
+
+def test_pattern_of_matches_the_listed_complexes_up_to_five_nodes(cgs4, reps5):
+    for g in cgs4 + reps5:
+        assert pattern_of(g) == _literal_pattern(g), g
+
+
+def test_pattern_of_matches_the_listed_complexes_on_block_draws(block_chain_graph):
+    rng = random.Random(20261020)
+    for k in range(600):
+        n = rng.randint(6, 30)
+        density = (0.3, 0.5, 0.25) if k % 2 else (0.3, 0.3, 0.1)  # dense, sparse
+        g = block_chain_graph(rng, n, *density)
+        assert pattern_of(g) == _literal_pattern(g), g
+
+
+def _diamond_ladder(k):
+    """p -> a00 and q -> a<k>, and each a<i> joined to a<i+1> through two
+    separate middle nodes: a<i> - b<i> - a<i+1> and a<i> - c<i> - a<i+1>.
+    The line component has 2^k chordless paths from a00 to a<k>."""
+    a = [f"a{i:02d}" for i in range(k + 1)]
+    specs = [arrow("p", a[0]), arrow("q", a[k])]
+    for i in range(k):
+        for mid in (f"b{i:02d}", f"c{i:02d}"):
+            specs += [line(a[i], mid), line(mid, a[i + 1])]
+    return build_graph({u for spec in specs for u in spec[:2]}, specs)
+
+
+def test_diamond_ladder_is_polynomial():
+    g = _diamond_ladder(20)
+    assert len(g) == 63
+    text = serialize_graph(g)
+    start = time.perf_counter()
+    pat = pattern_of(g)
+    moral = moral_graph(g)
+    same = markov_equivalent(parse_graph(text), parse_graph(text))
+    largest = recover_largest(pat)
+    elapsed = time.perf_counter() - start
+    assert sorted(pat.arrows()) == [("p", "a00"), ("q", "a20")]
+    assert set(moral.lines()) == set(g.edges) | {("p", "q")}
+    assert same
+    assert largest == g
+    # listing the complexes would take tens of seconds here
+    assert elapsed < 5, elapsed
+
+
+def test_markov_equivalent_matches_the_listed_complexes(cgs4):
+    groups = {}
+    for g in cgs4:
+        groups.setdefault(frozenset(g.edges), []).append(g)
+    pairs = 0
+    for members in groups.values():
+        listed = [enumerate_complexes(g) for g in members]
+        for i, j in combinations(range(len(members)), 2):
+            assert markov_equivalent(members[i], members[j]) == (listed[i] == listed[j])
+            pairs += 1
+    assert len(groups) == 2 ** 6 and pairs > 10000

@@ -119,6 +119,18 @@ def test_mask_constructor_copies_its_lists(ga):
     assert g == ga and g.edges == ga.edges
 
 
+def test_mask_constructor_builds_the_label_index_on_first_use(ga):
+    g = HybridGraph._of_masks(ga.nodes, ga.sib_masks, ga.par_masks)
+    assert g == ga and hash(g) == hash(ga)
+    assert [g.index_of(u) for u in "abcd"] == [0, 1, 2, 3]
+    assert g.mask_of("bd") == ga.mask_of("bd") == 0b1010
+    with pytest.raises(GraphError, match="unknown node: 'z'"):
+        g.index_of("z")
+    with pytest.raises(GraphError):
+        HybridGraph._of_masks(ga.nodes, ga.sib_masks, ga.par_masks).mask_of("az")
+    assert g == ga and hash(g) == hash(ga) and {g: 1}[ga] == 1
+
+
 def test_mask_built_graphs_are_well_formed(cgs4):
     # rebuilding from the edge map catches a line set on one side only, or
     # a pair set as both a line and an arrow

@@ -83,8 +83,8 @@ def test_criteria_agree(pair):
 
 @common
 @given(chain_graphs())
-def test_moral_graph_variants_agree(g):
-    assert moral_graph(g) == moral_graph_component_variant(g)
+def test_moral_graph_variants_agree(complex_join, g):
+    assert moral_graph(g) == moral_graph_component_variant(g) == complex_join(g)
 
 
 @common
