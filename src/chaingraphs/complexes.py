@@ -9,12 +9,16 @@ The pattern and the equivalence test never list complexes.  Which arrows
 start or end a complex is one reachability search per pair of
 nonadjacent parents of a line component (``_complex_parents``), and two
 chain graphs with the same skeleton and the same complex arrows have the
-same complexes (``markov_equivalent``).  The chordless paths themselves,
+same complexes (``markov_equivalent``); stage 2 of recovery checks its
+result on ``_complex_parents`` alone.  The chordless paths themselves,
 which can take exponential time to list, are still listed by
 ``enumerate_complexes``, ``complex_parent_pairs``, ``equivalence_class``
 and the class oracles built on it, and by stage 1 of recovery
 (``recovery.recover_pattern``), which directs complex ends with
-``_chordless_paths``.
+``_chordless_paths``.  For a model backed by a chain graph it walks only
+between married nodes, the nonadjacent parents of one line component;
+for any other model it walks from every node.  Either way it stops at a
+bound on the partial paths it takes up.
 """
 
 from __future__ import annotations
@@ -71,13 +75,15 @@ class Complex:
 
 
 def _chordless_paths(sib: list[int], ends: list[int], adj: list[int], mask: int,
-                     length: int | None = None) -> Iterator[tuple[int, ...]]:
+                     length: int | None = None, expand=None) -> Iterator[tuple[int, ...]]:
     """Chordless paths (a, w1, ..., wl, b) of the induced subgraph on ``mask``.
 
     w1 - ... - wl is a line path (``sib``), a is in ``ends[w1]`` and b in
     ``ends[wl]``, a < b, and no two nonconsecutive nodes are adjacent
     (``adj``); ``length`` fixes l.  Index order follows label order, so
-    a < b is label canonicalization.
+    a < b is label canonicalization.  ``expand``, when given, is called
+    once per partial path a, w1, ... taken up, and may raise to end the
+    search.
     """
     for w in _bits(mask):
         for a in _bits(ends[w] & mask):
@@ -85,6 +91,8 @@ def _chordless_paths(sib: list[int], ends: list[int], adj: list[int], mask: int,
             stack = [((w,), (1 << a) | adj[a])]
             while stack:
                 path, blocked = stack.pop()
+                if expand is not None:
+                    expand()
                 last = path[-1]
                 free = mask & ~blocked
                 if length is None or len(path) == length:
@@ -260,7 +268,7 @@ def equivalence_class(g: HybridGraph, max_edges: int = 12) -> list[HybridGraph]:
     pos = 0
     while pos >= 0:
         if pos == len(ends):
-            cand = HybridGraph._of_masks(g.nodes, sib, par)
+            cand = HybridGraph._of_masks(g.nodes, sib, par, chi)
             if is_chain_graph(cand) and _complex_paths(cand) == target:
                 members.append(cand)
             pos -= 1

@@ -132,18 +132,23 @@ class HybridGraph:
         self._cache: dict = {}
 
     @classmethod
-    def _of_masks(cls, nodes: Sequence[str], sib: Sequence[int], par: Sequence[int]):
+    def _of_masks(cls, nodes: Sequence[str], sib: Sequence[int], par: Sequence[int],
+                  chi: Sequence[int] | None = None):
         """Graph from line and parent masks over labels already sorted and
-        valid.  Nothing is checked; both lists are copied.  The label index
-        is left unset until :meth:`index_of` first needs it."""
+        valid.  Nothing is checked; all lists are copied.  ``chi`` is trusted
+        when given; otherwise the child masks are derived from ``par``.  The
+        label index is left unset until :meth:`index_of` first needs it."""
         g = cls.__new__(cls)
         g._nodes = tuple(nodes)
         g._sib = list(sib)
         g._par = list(par)
-        g._chi = chi = [0] * len(g._par)
-        for j, p in enumerate(g._par):
-            for i in _bits(p):
-                chi[i] |= 1 << j
+        if chi is None:
+            g._chi = chi = [0] * len(g._par)
+            for j, p in enumerate(g._par):
+                for i in _bits(p):
+                    chi[i] |= 1 << j
+        else:
+            g._chi = list(chi)
         g._cache = {}
         return g
 

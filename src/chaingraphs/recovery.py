@@ -7,7 +7,9 @@ the skeleton.  Level l >= 1 searches the current graph for the chordless
 paths a, w1 - ... - wl, b whose ends are joined to the line path by a line
 or an arrow into it, and directs a -> w1 and b -> wl where ``dep_plus``
 holds given w1 and given wl.  The search is the one that enumerates
-complexes, run on the working graph's line and arrow bitmasks.
+complexes, run on the working graph's line and arrow bitmasks.  It can
+take exponential time, so it raises ``BoundExceededError`` past
+``depmodel.MAX_WALK_SETS`` partial paths over all levels.
 
 That walk asks up to 2^(n-2) queries per predicate.  A ``CGBackedModel``
 is known to come from a chain graph, so it takes the PC route instead
@@ -16,8 +18,11 @@ gives the moral graph ("total conditioning", Pellet & Elisseeff, JMLR 9,
 2008), the skeleton is searched from it over the current
 neighbourhoods, and each complex end is one query on the separator
 recorded for its pair (as Ma, Xie & Geng, JMLR 9, 2008, do for LWF chain
-graphs).  Every other model keeps the walk, which is the paper's
-definition and what detects a model that no chain graph induces.
+graphs).  Its path search starts and ends only at the nodes of a
+pair joined in the moral graph but not in the skeleton (a married pair),
+since no other pair can demand an arrow.  Every other model keeps the
+walk from every node, which is the paper's definition and what detects a
+model that no chain graph induces.
 
 Stage 2 turns the pattern into the largest chain graph of the class by
 alternating orientation bans (transitivity principle) with line directing
@@ -42,7 +47,9 @@ from dataclasses import dataclass
 from itertools import combinations, count
 
 from . import depmodel
-from .complexes import BoundExceededError, _chordless_paths, pattern_of
+from .complexes import BoundExceededError, _chordless_paths, _complex_parents
+# unused here; bench/spans.py patches this name and cannot install without it
+from .complexes import pattern_of  # noqa: F401
 from .depmodel import CGBackedModel, DependencyModel, dep_all, dep_plus
 from .graph import GraphError, HybridGraph, _bits, _reach, is_chain_graph
 
@@ -110,7 +117,7 @@ class _WorkingGraph:
         self.ban[head] &= ~(1 << tail)
 
     def to_graph(self) -> HybridGraph:
-        return HybridGraph._of_masks(self.nodes, self.sib, self.par)
+        return HybridGraph._of_masks(self.nodes, self.sib, self.par, self.chi)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +134,11 @@ def recover_pattern(model: DependencyModel, trace=None) -> HybridGraph:
     skeleton search raises ``BoundExceededError`` before it would ask more
     than ``depmodel.MAX_WALK_SETS`` queries, as the walk does before it
     would try more than that many sets.
+
+    For every model, the level search raises ``BoundExceededError`` once
+    it has taken up more than ``depmodel.MAX_WALK_SETS`` partial paths
+    over all levels: the number of chordless paths can grow exponentially
+    with the node count.
 
     *Skeleton* (``_pc_skeleton``).  Total conditioning comes first.  For
     <u, v | V - {u, v}> the ancestral set is V, so by the moralization
@@ -190,6 +202,14 @@ def recover_pattern(model: DependencyModel, trace=None) -> HybridGraph:
     5-node orbit representative (both criteria) and seeded draws at
     n = 6..12.
 
+    By the first case, a path whose ends are not a married pair (a pair
+    whose recorded S is not V - {a, b}) never demands an arrow.  So the
+    path search starts and ends only at married nodes, the nodes of such
+    pairs.  A path it drops has an end in no married pair.  The paths it
+    keeps come in the same order as without the filter; the ends of one
+    may still be two married nodes that are not a pair, and its query
+    then answers independent, as above.
+
     Level-l directings are computed against the previous level in full
     before any is applied, so search order cannot matter.
 
@@ -200,8 +220,13 @@ def recover_pattern(model: DependencyModel, trace=None) -> HybridGraph:
     """
     nodes = sorted(model.nodes)
     n = len(nodes)
+    full = married = (1 << n) - 1
     if isinstance(model, CGBackedModel):
         sib, sep = _pc_skeleton(model, n)
+        married = 0  # the nodes of the pairs separated short of V - {a, b}
+        for (a, b), z in sep.items():
+            if z != full & ~(1 << a | 1 << b):
+                married |= 1 << a | 1 << b
         if trace is not None:
             for a, b in sorted(sep):
                 zs = tuple(nodes[i] for i in _bits(sep[a, b]))
@@ -219,14 +244,23 @@ def recover_pattern(model: DependencyModel, trace=None) -> HybridGraph:
 
         def complex_end(a, b, w):
             return dep_plus(model, nodes[a], nodes[b], nodes[w])
+    bound, expanded = depmodel.MAX_WALK_SETS, 0
+
+    def expand():
+        nonlocal expanded
+        expanded += 1
+        if expanded > bound:
+            raise BoundExceededError(f"complex-end search over {n} nodes exceeds "
+                                     f"the bound of {bound} path expansions")
+
     zeros = [0] * n
     w = _WorkingGraph(nodes, sib, zeros, zeros, zeros)
     adj = list(sib)  # directing keeps the skeleton
 
     for level in range(1, n - 1):
-        ends = [s | t for s, t in zip(w.sib, w.par)]
+        ends = [(s | t) & married for s, t in zip(w.sib, w.par)]
         demands: set[tuple[int, int]] = set()
-        for p in _chordless_paths(w.sib, ends, adj, (1 << n) - 1, level):
+        for p in _chordless_paths(w.sib, ends, adj, full, level, expand):
             a, b = p[0], p[-1]
             # with one interior node p[1] is p[-2]: one query covers both ends
             if complex_end(a, b, p[1]) and (level == 1 or complex_end(a, b, p[-2])):
@@ -398,6 +432,8 @@ def _semislide_exists(w: _WorkingGraph, target: int, excluded: int,
     reached node with a parent out there is the head.
     """
     avoid = w.adj(excluded) | 1 << excluded
+    if not banned_into[target]:  # the search would reach the target alone
+        return bool(w.par[target] & ~avoid)
     heads = 0
     for v in _bits(_reach(banned_into, 1 << target, avoid)):
         heads |= w.par[v]
@@ -416,18 +452,33 @@ def feasible_semislide_exists(a: AnnotatedPattern, target: str,
 
 
 def _transitivity(w: _WorkingGraph, trace=None) -> None:
-    """Add every ban the transitivity principle forces, to a fixpoint."""
+    """Add every ban the transitivity principle forces, to a fixpoint.
+
+    Sweeps the lines in order, testing each direction (x, y) not yet
+    banned, until a sweep adds no ban.  The test of a target reads the bans
+    only through its search back along banned lines.  A new ban (x, y)
+    lets that search step from y to x, so it can change the test only for
+    the targets whose search reaches y: the nodes that banned lines lead
+    to from y, ``_reach(w.ban, 1 << y)``.  Those targets become dirty for
+    the rest of the sweep and for the next one, and a pair is tested only
+    while its target is dirty.  A pair skipped as clean would meet the same
+    search as at its last test, which added no ban, so the bans and their
+    order are those of re-testing every pair on every sweep.
+    """
     banned_into = _transpose(w.ban)
-    changed = True
-    while changed:
-        changed = False
+    dirty = (1 << len(w.nodes)) - 1
+    while dirty:
+        now, dirty = dirty, 0
         for u in range(len(w.nodes)):
             for v in _bits(w.sib[u] & ~((2 << u) - 1)):  # each line once, as u < v
                 for x, y in ((u, v), (v, u)):
-                    if not w.ban[x] >> y & 1 and _semislide_exists(w, x, y, banned_into):
+                    if (now >> x & 1 and not w.ban[x] >> y & 1
+                            and _semislide_exists(w, x, y, banned_into)):
                         w.ban[x] |= 1 << y
                         banned_into[y] |= 1 << x
-                        changed = True
+                        touched = _reach(w.ban, 1 << y)
+                        now |= touched
+                        dirty |= touched
                         if trace is not None:
                             trace(("ban", w.nodes[x], w.nodes[y]))
 
@@ -463,11 +514,17 @@ def _necessity(w: _WorkingGraph):
         if not w.chi[r0]:
             continue
         back = _reach(into, 1 << r0)
+        ends = 0  # nodes with a line into back
+        for b in _bits(back):
+            ends |= w.sib[b]
+        if not ends:
+            continue
         for r1 in _bits(w.chi[r0]):
-            for a in _bits(_reach(d, 1 << r1, avoid=1 << r0)):
+            hit = _reach(d, 1 << r1, avoid=1 << r0) & ends
+            if hit:
+                a = (hit & -hit).bit_length() - 1
                 line = w.sib[a] & back
-                if line:
-                    return (line & -line).bit_length() - 1, a, (r0, r1, a)
+                return (line & -line).bit_length() - 1, a, (r0, r1, a)
     return None
 
 
@@ -528,6 +585,8 @@ def _doublecycle(w: _WorkingGraph):
     n = len(w.nodes)
     d = [w.d_step(u) for u in range(n)]
     for r0 in range(n):
+        if not w.sib[r0]:
+            continue
         for r1 in _bits(w.chi[r0]):
             for rk in _bits(w.sib[r0]):
                 last = _reach(d, 1 << r1, avoid=1 << r0 | 1 << rk) & w.sib[rk]
@@ -560,6 +619,12 @@ def recover_largest(g0: HybridGraph, order=("necessity", "doublecycle"),
     ``order``, until neither rule fires.  The result is always validated:
     it must be a chain graph whose pattern equals the input, or
     :class:`InvalidPatternError` is raised.
+
+    The pattern is compared on masks: directing keeps the skeleton, so the
+    result's pattern and the input share their nodes and skeleton, and two
+    such graphs are equal exactly when their parent masks are.  The
+    result's pattern has the complex arrows as its parents
+    (``_complex_parents``), so no second pattern graph is built.
     """
     for rule in order:
         if rule not in _RULES:
@@ -578,8 +643,11 @@ def recover_largest(g0: HybridGraph, order=("necessity", "doublecycle"),
         if trace is not None:
             trace((directing.rule, directing.tail, directing.head, directing.witness))
     result = w.to_graph()
-    if not is_chain_graph(result) or pattern_of(result) != g0:
+    if not is_chain_graph(result) or _complex_parents(result) != g0.par_masks:
         raise InvalidPatternError("input is not the pattern of a Markov-equivalence class")
+    # the component masks the check cached are dropped, not kept on every
+    # returned graph: they are about a third of its memory
+    result._cache.clear()
     return result
 
 

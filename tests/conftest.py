@@ -114,6 +114,24 @@ def _block_chain_graph(rng, n, p_cut=0.3, p_line=0.3, p_arrow=0.1):
     return HybridGraph(order, edges)
 
 
+def _diamond_ladder(k):
+    """p -> a00 and q -> a<k>, and each a<i> joined to a<i+1> through two
+    separate middle nodes: a<i> - b<i> - a<i+1> and a<i> - c<i> - a<i+1>.
+    The line component has 2^k chordless paths from a00 to a<k>."""
+    a = [f"a{i:02d}" for i in range(k + 1)]
+    specs = [arrow("p", a[0]), arrow("q", a[k])]
+    for i in range(k):
+        for mid in (f"b{i:02d}", f"c{i:02d}"):
+            specs += [line(a[i], mid), line(mid, a[i + 1])]
+    return build_graph({u for spec in specs for u in spec[:2]}, specs)
+
+
+@pytest.fixture(scope="session")
+def diamond_ladder():
+    """``diamond_ladder(k)``: the 3k + 3-node ladder of k diamonds."""
+    return _diamond_ladder
+
+
 @pytest.fixture(scope="session")
 def admits_no_merge():
     return _admits_no_merge

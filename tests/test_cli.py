@@ -225,6 +225,18 @@ def test_recover_from_cg_over_skeleton_bound_exit_2(files, monkeypatch, capsys):
                             "the bound of 5 queries\n")
 
 
+def test_recover_from_cg_over_complex_end_bound_exit_2(tmp_path, monkeypatch, capsys,
+                                                      diamond_ladder):
+    ladder = tmp_path / "ladder.cg"
+    ladder.write_text(chaingraphs.serialize_graph(diamond_ladder(8)))
+    monkeypatch.setattr(chaingraphs.depmodel, "MAX_WALK_SETS", 23381)
+    assert run(["recover", "--from-cg", str(ladder)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: complex-end search over 27 nodes exceeds "
+                            "the bound of 23381 path expansions\n")
+
+
 def test_model_parse_errors_exit_2(tmp_path, capsys):
     model = tmp_path / "bad.model"
     for text, message in (("model a b\na | c |\n", "line 2: unknown nodes: ['c']"),

@@ -203,20 +203,8 @@ def test_pattern_of_matches_the_listed_complexes_on_block_draws(block_chain_grap
         assert pattern_of(g) == _literal_pattern(g), g
 
 
-def _diamond_ladder(k):
-    """p -> a00 and q -> a<k>, and each a<i> joined to a<i+1> through two
-    separate middle nodes: a<i> - b<i> - a<i+1> and a<i> - c<i> - a<i+1>.
-    The line component has 2^k chordless paths from a00 to a<k>."""
-    a = [f"a{i:02d}" for i in range(k + 1)]
-    specs = [arrow("p", a[0]), arrow("q", a[k])]
-    for i in range(k):
-        for mid in (f"b{i:02d}", f"c{i:02d}"):
-            specs += [line(a[i], mid), line(mid, a[i + 1])]
-    return build_graph({u for spec in specs for u in spec[:2]}, specs)
-
-
-def test_diamond_ladder_is_polynomial():
-    g = _diamond_ladder(20)
+def test_diamond_ladder_is_polynomial(diamond_ladder):
+    g = diamond_ladder(20)
     assert len(g) == 63
     text = serialize_graph(g)
     start = time.perf_counter()

@@ -107,16 +107,18 @@ def test_edge_map_round_trip_on_all_four_node_hybrid_graphs():
 
 def test_mask_constructor_matches_the_edge_map():
     for g in all_hybrid_graphs("abcd"):
-        h = HybridGraph._of_masks(g.nodes, g.sib_masks, g.par_masks)
-        assert h == g and h.chi_masks == g.chi_masks and h.edges == g.edges, g
+        for chi in (None, g.chi_masks):  # derived, or passed in
+            h = HybridGraph._of_masks(g.nodes, g.sib_masks, g.par_masks, chi)
+            assert h == g and h.chi_masks == g.chi_masks and h.edges == g.edges, g
 
 
 def test_mask_constructor_copies_its_lists(ga):
-    sib, par = list(ga.sib_masks), list(ga.par_masks)
-    g = HybridGraph._of_masks(ga.nodes, sib, par)
+    sib, par, chi = list(ga.sib_masks), list(ga.par_masks), list(ga.chi_masks)
+    g = HybridGraph._of_masks(ga.nodes, sib, par, chi)
     sib[0] |= 1 << 2
     par[3] = 0
-    assert g == ga and g.edges == ga.edges
+    chi[0] = 0
+    assert g == ga and g.edges == ga.edges and g.chi_masks == ga.chi_masks
 
 
 def test_mask_constructor_builds_the_label_index_on_first_use(ga):

@@ -21,6 +21,8 @@ import pytest
 
 from chaingraphs import (
     CGBackedModel,
+    ExplicitModel,
+    all_triplets,
     dep_all,
     dep_plus,
     moral_graph,
@@ -30,7 +32,8 @@ from chaingraphs import (
     recover_largest,
     recover_pattern,
 )
-from chaingraphs import recovery
+from chaingraphs import depmodel, recovery
+from chaingraphs.complexes import BoundExceededError
 from chaingraphs.enumeration import relabel
 
 CRITERIA = ("moral", "c")
@@ -47,6 +50,7 @@ class Differential:
     def check(self, g, criterion):
         model = CGBackedModel(g, criterion)
         nodes = model.nodes
+        full = (1 << len(nodes)) - 1
         found = []
 
         def skeleton(*args):
@@ -55,8 +59,14 @@ class Differential:
 
         def paths(*args):
             (_, sep), = found
+            married = 0  # the nodes of the pairs with a PC separator
+            for (u, v), z in sep.items():
+                if z != full & ~(1 << u | 1 << v):
+                    married |= 1 << u | 1 << v
             for p in PATHS(*args):
                 a, b = p[0], p[-1]
+                # an end with no PC separator is filtered out before the walk
+                assert married >> a & married >> b & 1, (g, criterion, p)
                 for w in (p[1], p[-2]):
                     got = recovery._separator_dependent(model, sep, a, b, w)
                     assert got == dep_plus(model, nodes[a], nodes[b], nodes[w]), (
@@ -202,6 +212,41 @@ def test_stage1_and_end_to_end_at_scale(block_chain_graph, greedy_merge):
             assert recover_largest(pattern) == greedy_merge(g)
         print(f"n = {n}, density {density or 'default'}: stage 1 median {median(times):.3f} s, "
               f"max {max(times):.3f} s, queries {min(queries)}..{max(queries)}")
+
+
+def test_married_filter_spares_other_models(monkeypatch, ga):
+    """ga's one married pair is a, c: a CGBackedModel walks from and to
+    those two only, and an explicit listing of the same model from every
+    end the working graph has (its lines, at level 1)."""
+    backed = CGBackedModel(ga)
+    explicit = ExplicitModel(ga.nodes, [t for t in all_triplets(ga.nodes)
+                                        if backed.is_independent(t)])
+    seen = []
+
+    def paths(sib, ends, *rest):
+        seen.append((list(sib), list(ends)))
+        return PATHS(sib, ends, *rest)
+
+    monkeypatch.setattr(recovery, "_chordless_paths", paths)
+    for model, married in ((explicit, 0b1111), (backed, 0b0101)):
+        seen.clear()
+        assert recover_pattern(model) == pattern_of(ga)
+        sib, ends = seen[0]
+        assert ends == [s & married for s in sib], model
+        for sib, ends in seen:  # later levels add the parents as ends
+            assert all(e & s & married == s & married for s, e in zip(sib, ends)), model
+
+
+def test_complex_end_search_budget(monkeypatch, diamond_ladder):
+    # the k = 8 ladder's complex-end search expands 23,382 partial paths
+    model = CGBackedModel(diamond_ladder(8))
+    pattern = recover_pattern(model)
+    monkeypatch.setattr(depmodel, "MAX_WALK_SETS", 23382)
+    assert recover_pattern(model) == pattern
+    monkeypatch.setattr(depmodel, "MAX_WALK_SETS", 23381)
+    with pytest.raises(BoundExceededError, match="complex-end search over 27 nodes "
+                                                 "exceeds the bound of 23381 path expansions"):
+        recover_pattern(model)
 
 
 @pytest.mark.parametrize("criterion", CRITERIA)

@@ -7,10 +7,15 @@ depth-first route enumeration with per-node visit counts, a step cap and
 a second pass that lets routes visit a node twice.
 ``ref_semislide_with_anchor`` is the anchored semislide search with its
 head step written out apart from the recursion; it is compared on every
-anchor (r0, r1, rk) at each doublecycle call.  ``recover_largest``
-is driven with the new rules while every rule call is compared with its
-reference, and again with the references swapped in; both runs must end
-in the same graph.
+anchor (r0, r1, rk) at each doublecycle call.  ``full_sweep_transitivity``
+and ``per_node_necessity`` are ``_transitivity`` before it re-tested only
+the targets a new ban can reach, and ``_necessity`` before it skipped the
+reaches with no line back: each call of the new ones must give the same
+ban events, in the same order, and the same (tail, head, witness).
+``recover_largest`` is driven with the new rules while every rule call is
+compared with its reference, and again with the references swapped in;
+the runs must end in the same graph, and the runs with the new and the
+replaced searches in the same trace.
 
 Beyond the sizes where the class can be listed, the largest chain graph
 is checked by merging (Studeny, Roverato & Stepanova, Kybernetika 45,
@@ -26,7 +31,9 @@ import pytest
 
 from chaingraphs import (
     AnnotatedPattern,
+    InvalidPatternError,
     feasible_semislide_exists,
+    is_chain_graph,
     largest_cg_oracle,
     parse_graph,
     pattern_of,
@@ -34,7 +41,7 @@ from chaingraphs import (
 )
 from chaingraphs import depmodel, recovery
 from chaingraphs.complexes import BoundExceededError
-from chaingraphs.enumeration import random_chain_graph
+from chaingraphs.enumeration import all_hybrid_graphs, random_chain_graph
 from chaingraphs.graph import _bits
 
 ORDERS = (("necessity", "doublecycle"), ("doublecycle", "necessity"))
@@ -90,6 +97,38 @@ def ref_semislide_with_anchor(w, r0, r1, rk):
             if forward(s1, 1 << s0 | 1 << s1, c, qualified0 or (c and near_rk >> s1 & 1)):
                 return True
     return False
+
+
+def full_sweep_transitivity(w, trace=None):
+    banned_into = recovery._transpose(w.ban)
+    changed = True
+    while changed:
+        changed = False
+        for u in range(len(w.nodes)):
+            for v in _bits(w.sib[u] & ~((2 << u) - 1)):
+                for x, y in ((u, v), (v, u)):
+                    if not w.ban[x] >> y & 1 and recovery._semislide_exists(w, x, y, banned_into):
+                        w.ban[x] |= 1 << y
+                        banned_into[y] |= 1 << x
+                        changed = True
+                        if trace is not None:
+                            trace(("ban", w.nodes[x], w.nodes[y]))
+
+
+def per_node_necessity(w):
+    n = len(w.nodes)
+    d = [w.d_step(u) for u in range(n)]
+    into = recovery._transpose(d)
+    for r0 in range(n):
+        if not w.chi[r0]:
+            continue
+        back = recovery._reach(into, 1 << r0)
+        for r1 in _bits(w.chi[r0]):
+            for a in _bits(recovery._reach(d, 1 << r1, avoid=1 << r0)):
+                line = w.sib[a] & back
+                if line:
+                    return (line & -line).bit_length() - 1, a, (r0, r1, a)
+    return None
 
 
 def _ref_necessity(w, limit):
@@ -174,40 +213,67 @@ def ref_doublecycle(w):
     return _ref_doublecycle(w, 1) or _ref_doublecycle(w, 2)
 
 
-NEW = {"semislide": recovery._semislide_exists,
+NEW = {"semislide": recovery._semislide_exists, "transitivity": recovery._transitivity,
        "necessity": recovery._necessity, "doublecycle": recovery._doublecycle}
-REF = {"semislide": ref_semislide_exists,
+REF = {"semislide": ref_semislide_exists, "transitivity": full_sweep_transitivity,
        "necessity": ref_necessity, "doublecycle": ref_doublecycle}
 
 
 def _largest(monkeypatch, pattern, order, searches):
-    """recover_largest with the given semislide and rule searches."""
+    """recover_largest with the given semislide, transitivity and rule
+    searches: the result, or the error text, and the trace."""
+    events = []
     with monkeypatch.context() as m:
         m.setattr(recovery, "_semislide_exists", searches["semislide"])
+        m.setattr(recovery, "_transitivity", searches["transitivity"])
         for rule in ("necessity", "doublecycle"):
             m.setitem(recovery._RULES, rule,
                       lambda w, rule=rule: recovery._directing(w, rule, searches[rule](w)))
-        return recover_largest(pattern, order=order)
+        try:
+            return recover_largest(pattern, order=order, trace=events.append), events
+        except (InvalidPatternError, BoundExceededError) as exc:
+            return str(exc), events
 
 
 class Checked:
-    """The new searches, each call compared with its reference."""
+    """The new searches, each call compared with its reference and with
+    the search it replaced; ``routes=False`` leaves out the route
+    enumerations, which are too slow beyond about ten nodes."""
 
-    def __init__(self):
+    def __init__(self, routes=True):
+        self.routes = routes
         self.fired = dict.fromkeys([*NEW, "anchor"], 0)
 
     def __getitem__(self, name):
+        if not self.routes and name in ("semislide", "doublecycle"):
+            return NEW[name]
         return lambda *args: self._check(name, *args)
 
     def _check(self, name, w, *args):
-        got, want = NEW[name](w, *args), REF[name](w, *args)
-        assert bool(got) == bool(want), (name, w.to_graph(), args)
+        if name == "transitivity":
+            return self._check_transitivity(w, *args)
+        got = NEW[name](w, *args)
+        if name == "necessity":
+            assert got == per_node_necessity(w), w.to_graph()
         self.fired[name] += bool(got)
+        if not self.routes:
+            return got
+        assert bool(got) == bool(REF[name](w, *args)), (name, w.to_graph(), args)
         if name != "semislide":
             self._check_lines(w)
         if name == "doublecycle":
             self._check_anchors(w)
         return got
+
+    def _check_transitivity(self, w, trace=None):
+        old = recovery._WorkingGraph(w.nodes, w.sib, w.par, w.chi, w.ban)
+        got, want = [], []
+        full_sweep_transitivity(old, want.append)
+        NEW["transitivity"](w, got.append)
+        assert got == want and w.ban == old.ban, w.to_graph()
+        self.fired["transitivity"] += bool(got)
+        for event in got if trace is not None else ():
+            trace(event)
 
     def _check_anchors(self, w):
         for r0 in range(len(w.nodes)):
@@ -229,12 +295,17 @@ class Checked:
                         == ref_semislide_exists(w, u, v))
 
 
-def _drive(monkeypatch, graphs):
-    checked = Checked()
+def _drive(monkeypatch, graphs, routes=True):
+    """Each pattern under both orders: the checked run ends as the run of
+    the replaced searches does, trace included, and as the references do."""
+    checked = Checked(routes)
+    replaced = {**NEW, "transitivity": full_sweep_transitivity, "necessity": per_node_necessity}
     for pattern in dict.fromkeys(pattern_of(g) for g in graphs):
         for order in ORDERS:
             got = _largest(monkeypatch, pattern, order, checked)
-            assert got == _largest(monkeypatch, pattern, order, REF)
+            assert got == _largest(monkeypatch, pattern, order, replaced)
+            if routes:  # the route searches may name other witnesses
+                assert got[0] == _largest(monkeypatch, pattern, order, REF)[0]
     return checked
 
 
@@ -257,6 +328,42 @@ def test_rules_agree_on_random_draws(monkeypatch):
         labels = [f"v{i}" for i in range(n)]
         graphs += [random_chain_graph(rng, labels, p_edge=0.4) for _ in range(30)]
     _assert_all_fired(_drive(monkeypatch, graphs))
+
+
+def test_stage2_matches_the_full_sweeps_on_block_draws(monkeypatch, block_chain_graph):
+    rng = random.Random(2018)
+    graphs = []
+    for k in range(125):
+        density = (0.3, 0.5, 0.25) if k % 2 else (0.3, 0.3, 0.1)  # dense, sparse
+        graphs.append(block_chain_graph(rng, 6 + k % 25, *density))
+    checked = _drive(monkeypatch, graphs, routes=False)
+    assert checked.fired["transitivity"] and checked.fired["necessity"], checked.fired
+
+
+def test_mask_validation_matches_the_pattern_comparison(monkeypatch):
+    """On every 4-node hybrid graph g0, stage 2 raises InvalidPatternError
+    exactly when the graph r its rules end in is no chain graph or has a
+    pattern other than g0; a rule that demands a banned direction raises
+    before r exists."""
+    checks = {True: 0, False: 0}
+    for g0 in all_hybrid_graphs("abcd"):
+        ends = []
+        with monkeypatch.context() as m:
+            m.setattr(recovery, "is_chain_graph", lambda r: ends.append(r) or is_chain_graph(r))
+            try:
+                recover_largest(g0)
+                raised = None
+            except InvalidPatternError as exc:
+                raised = str(exc)
+        if not ends:
+            assert raised and "which is banned" in raised, g0
+            continue
+        r, = ends
+        invalid = not is_chain_graph(r) or pattern_of(r) != g0
+        assert raised == ("input is not the pattern of a Markov-equivalence class"
+                          if invalid else None), g0
+        checks[invalid] += 1
+    assert all(checks.values()), checks
 
 
 # a 5-node pattern whose doublecycle search runs the anchored semislide DFS;
