@@ -432,8 +432,6 @@ def _semislide_exists(w: _WorkingGraph, target: int, excluded: int,
     reached node with a parent out there is the head.
     """
     avoid = w.adj(excluded) | 1 << excluded
-    if not banned_into[target]:  # the search would reach the target alone
-        return bool(w.par[target] & ~avoid)
     heads = 0
     for v in _bits(_reach(banned_into, 1 << target, avoid)):
         heads |= w.par[v]
@@ -585,8 +583,6 @@ def _doublecycle(w: _WorkingGraph):
     n = len(w.nodes)
     d = [w.d_step(u) for u in range(n)]
     for r0 in range(n):
-        if not w.sib[r0]:
-            continue
         for r1 in _bits(w.chi[r0]):
             for rk in _bits(w.sib[r0]):
                 last = _reach(d, 1 << r1, avoid=1 << r0 | 1 << rk) & w.sib[rk]
@@ -645,9 +641,6 @@ def recover_largest(g0: HybridGraph, order=("necessity", "doublecycle"),
     result = w.to_graph()
     if not is_chain_graph(result) or _complex_parents(result) != g0.par_masks:
         raise InvalidPatternError("input is not the pattern of a Markov-equivalence class")
-    # the component masks the check cached are dropped, not kept on every
-    # returned graph: they are about a third of its memory
-    result._cache.clear()
     return result
 
 

