@@ -10,15 +10,16 @@ start or end a complex is one reachability search per pair of
 nonadjacent parents of a line component (``_complex_parents``), and two
 chain graphs with the same skeleton and the same complex arrows have the
 same complexes (``markov_equivalent``); stage 2 of recovery checks its
-result on ``_complex_parents`` alone.  The chordless paths themselves,
-which can take exponential time to list, are still listed by
-``enumerate_complexes``, ``complex_parent_pairs``, ``equivalence_class``
-and the class oracles built on it, and by stage 1 of recovery
-(``recovery.recover_pattern``), which directs complex ends with
-``_chordless_paths``.  For a model backed by a chain graph it walks only
-between married nodes, the nonadjacent parents of one line component;
-for any other model it walks from every node.  Either way it stops at a
-bound on the partial paths it takes up.
+result on ``_complex_parents`` alone, and so does ``equivalence_class``
+on each member it builds.  The chordless paths themselves, which can take
+exponential time to list, are still listed by ``enumerate_complexes`` and
+``complex_parent_pairs``; by ``equivalence_class`` and the class oracles
+built on it, once per call, as the chordless skeleton paths its prune
+checks; and by stage 1 of recovery (``recovery.recover_pattern``), which
+directs complex ends with ``_chordless_paths``.  For a model backed by a
+chain graph it walks only between married nodes, the nonadjacent parents
+of one line component; for any other model it walks from every node.
+Either way it stops at a bound on the partial paths it takes up.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import (GraphError, HybridGraph, NotChainGraphError, _bits, _component_masks,
-                    _per_graph, _reach, is_chain_graph)
+                    _reach, is_chain_graph)
 
 __all__ = [
     "Complex",
@@ -104,16 +105,11 @@ def _chordless_paths(sib: list[int], ends: list[int], adj: list[int], mask: int,
                         stack.append(((*path, x), blocked))
 
 
-@_per_graph
-def _complex_paths(g: HybridGraph) -> frozenset[tuple[int, ...]]:
-    """Index paths (a, w1, ..., wl, b), a < b, of every complex of ``g``."""
-    adj = [g.adj_mask(i) for i in range(len(g))]
-    return frozenset(_chordless_paths(g.sib_masks, g.par_masks, adj, (1 << len(g)) - 1))
-
-
 def enumerate_complexes(g: HybridGraph) -> list[Complex]:
     """All complexes of ``g``, canonically oriented, deterministically sorted."""
-    out = [Complex(tuple(g.nodes[i] for i in p)) for p in _complex_paths(g)]
+    adj = [g.adj_mask(i) for i in range(len(g))]
+    paths = _chordless_paths(g.sib_masks, g.par_masks, adj, (1 << len(g)) - 1)
+    out = [Complex(tuple(g.nodes[i] for i in p)) for p in paths]
     out.sort(key=lambda c: (c.parents, c.region))
     return out
 
@@ -237,17 +233,30 @@ def equivalence_class(g: HybridGraph, max_edges: int = 12) -> list[HybridGraph]:
     backward arrow.  A branch is cut as soon as its assigned edges hold a
     directed pseudocycle, or once every edge of a chordless skeleton path
     is assigned and the path is a complex in one of ``g`` and the branch
-    but not in the other.  Each leaf is still built and kept only if it is
-    a chain graph with ``g``'s complex set.  Members come out in
-    lexicographic order of their kind assignments, first pattern line most
-    significant; the result always contains ``g``.
+    but not in the other.  Members come out in lexicographic order of
+    their kind assignments, first pattern line most significant; the
+    result always contains ``g``.
+
+    - *Pseudocycles.*  The pinned arrows are arrows of ``g``, so they hold
+      none, and no accepted branch holds one; a new one must use the edge
+      just set.  A new arrow t -> h closes one exactly when t is in
+      desc(h), one reachability search along children and lines.  A new
+      line i - j closes one exactly when some arrow lies inside
+      desc(i) ∩ anc(i).  Both step lists are kept in step with the branch.
+    - *Path flags.*  The chordless skeleton paths are listed once per call.
+      Such a path is a complex of ``g`` exactly when its end edges are
+      arrows into it and its inner edges lines (``_is_complex``), so
+      ``g``'s complexes are never listed.
+    - *Leaves.*  Each leaf is still built and kept only if it is a chain
+      graph whose complex arrows (``_complex_parents``) are the pattern's
+      arrows.  The leaf shares ``g``'s skeleton, so by the lemma in
+      ``markov_equivalent`` that is the same as having ``g``'s complexes.
     """
     if not is_chain_graph(g):
         raise NotChainGraphError("equivalence class is defined for chain graphs")
     if len(g.edges) > max_edges:
         raise BoundExceededError(f"{len(g.edges)} edges exceeds bound {max_edges}")
     pat = pattern_of(g)
-    target = _complex_paths(g)
     n = len(g)
     ends = [(i, j) for i in range(n) for j in _bits(pat.sib_masks[i] & ~((2 << i) - 1))]
     # each chordless skeleton path is checked once its last free edge is
@@ -258,54 +267,65 @@ def equivalence_class(g: HybridGraph, max_edges: int = 12) -> list[HybridGraph]:
     for path in _chordless_paths(adj, adj, adj, (1 << n) - 1):
         last = max(position.get((min(x, y), max(x, y)), -1) for x, y in zip(path, path[1:]))
         if last >= 0:
-            checks[last].append((path, path in target))
-    # the assigned edges as masks, starting from the pinned arrows
+            checks[last].append((path, _is_complex(path, g.sib_masks, g.par_masks)))
+    # the assigned edges as masks, starting from the pinned arrows, and the
+    # descending (children and lines) and ascending (parents and lines) steps
     sib = [0] * n
     par = list(pat.par_masks)
     chi = list(pat.chi_masks)
+    down = list(chi)
+    up = list(par)
     members = []
     choice = [-1] * len(ends)  # kind index set at each position, -1 for none
     pos = 0
     while pos >= 0:
         if pos == len(ends):
             cand = HybridGraph._of_masks(g.nodes, sib, par, chi)
-            if is_chain_graph(cand) and _complex_paths(cand) == target:
+            if is_chain_graph(cand) and _complex_parents(cand) == pat.par_masks:
                 members.append(cand)
             pos -= 1
             continue
         i, j = ends[pos]
         c = choice[pos]
         if c >= 0:
-            _toggle(sib, par, chi, i, j, c)
+            _toggle(sib, par, chi, down, up, i, j, c)
         c += 1
         if c == 3:  # all three kinds tried
             choice[pos] = -1
             pos -= 1
             continue
         choice[pos] = c
-        _toggle(sib, par, chi, i, j, c)
-        # a new pseudocycle passes i: a closed descending walk i ~> t -> h ~> i,
-        # so the arrow t -> h lies inside desc(i) & anc(i)
-        loop = (_reach([x | y for x, y in zip(chi, sib)], 1 << i)
-                & _reach([x | y for x, y in zip(par, sib)], 1 << i))
-        if any(chi[t] & loop for t in _bits(loop)):
-            continue
+        _toggle(sib, par, chi, down, up, i, j, c)
+        if c == 0:  # a new pseudocycle passes i, so an arrow lies in desc(i) & anc(i)
+            loop = _reach(down, 1 << i) & _reach(up, 1 << i)
+            if any(chi[t] & loop for t in _bits(loop)):
+                continue
+        else:  # t -> h closes a pseudocycle exactly when t is in desc(h)
+            tail, head = (i, j) if c == 1 else (j, i)
+            if _reach(down, 1 << head, stop=1 << tail) >> tail & 1:
+                continue
         if all(_is_complex(p, sib, par) == want for p, want in checks[pos]):
             pos += 1
     assert g in members
     return members
 
 
-def _toggle(sib: list[int], par: list[int], chi: list[int], i: int, j: int, c: int) -> None:
+def _toggle(sib: list[int], par: list[int], chi: list[int], down: list[int], up: list[int],
+            i: int, j: int, c: int) -> None:
     """Add, or remove again, the edge i, j of kind index ``c``: 0 the line,
-    1 the arrow i -> j, 2 the arrow j -> i."""
+    1 the arrow i -> j, 2 the arrow j -> i.  ``down`` and ``up`` are the
+    child-or-line and parent-or-line masks."""
     if c == 0:
-        sib[i] ^= 1 << j
-        sib[j] ^= 1 << i
+        for x, bit in ((i, 1 << j), (j, 1 << i)):
+            sib[x] ^= bit
+            down[x] ^= bit
+            up[x] ^= bit
     else:
         tail, head = (i, j) if c == 1 else (j, i)
         chi[tail] ^= 1 << head
+        down[tail] ^= 1 << head
         par[head] ^= 1 << tail
+        up[head] ^= 1 << tail
 
 
 def _is_complex(path: tuple[int, ...], sib: list[int], par: list[int]) -> bool:
@@ -319,13 +339,14 @@ def largest_cg_oracle(g: HybridGraph, max_edges: int = 12) -> HybridGraph:
     """Brute-force largest chain graph of the class of ``g``.
 
     The member whose arrow set is exactly the arrows oriented identically
-    in every member; its existence is asserted, not assumed.
+    in every member, the AND of the members' child masks; its existence
+    is asserted, not assumed.
     """
     members = equivalence_class(g, max_edges=max_edges)
-    common = set(members[0].arrows())
+    common = members[0].chi_masks
     for member in members[1:]:
-        common &= set(member.arrows())
+        common = [x & y for x, y in zip(common, member.chi_masks)]
     for member in members:
-        if set(member.arrows()) == common:
+        if member.chi_masks == common:
             return member
     raise AssertionError("no class member carries exactly the common arrows")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .graph import HybridGraph, _LABEL_RE, arrow, build_graph, line
+from .graph import HybridGraph, _LABEL_RE, _bits, arrow, build_graph, line
 
 __all__ = ["ParseError", "parse_graph", "serialize_graph", "parse_graphs", "serialize_graphs", "to_dot"]
 
@@ -84,10 +84,18 @@ def _parse_block(numbered, end: int) -> HybridGraph:
 
 
 def serialize_graph(g: HybridGraph) -> str:
-    """Canonical text rendering, LF-terminated."""
-    out = ["nodes " + " ".join(g.nodes)]
-    out.extend(f"{u} -- {v}" for u, v in g.lines())
-    out.extend(f"{u} -> {v}" for u, v in g.arrows())
+    """Canonical text rendering, LF-terminated.
+
+    The lines, then the arrows, each in sorted-pair order, are written
+    straight from the line, parent and child masks; no edge map is built.
+    """
+    nodes, sib, par, chi = g.nodes, g.sib_masks, g.par_masks, g.chi_masks
+    out = ["nodes " + " ".join(nodes)]
+    for i, u in enumerate(nodes):
+        out.extend(f"{u} -- {nodes[j]}" for j in _bits(sib[i] & ~((2 << i) - 1)))
+    for i, u in enumerate(nodes):
+        for j in _bits((par[i] | chi[i]) & ~((2 << i) - 1)):
+            out.append(f"{u} -> {nodes[j]}" if chi[i] >> j & 1 else f"{nodes[j]} -> {u}")
     return "\n".join(out) + "\n"
 
 

@@ -14,9 +14,13 @@ import pytest
 from chaingraphs import (
     EdgeKind,
     HybridGraph,
+    build_graph,
+    component_chain,
     enumerate_complexes,
     equivalence_class,
     is_chain_graph,
+    largest_cg_oracle,
+    line,
     pattern_of,
 )
 from chaingraphs.enumeration import random_chain_graph
@@ -74,3 +78,23 @@ def test_matches_reference_on_random_chain_graphs(n):
         if len(g.edges) <= 10:
             graphs.append(g)
     assert_same(graphs)
+
+
+# the ordered Bell (Fubini) numbers: ordered partitions of an n-set
+ORDERED_BELL = {1: 1, 2: 3, 3: 13, 4: 75, 5: 541}
+
+
+@pytest.mark.parametrize("n", sorted(ORDERED_BELL))
+def test_complete_graph_class_is_one_member_per_ordered_partition(n):
+    # K_n has no complexes, so its class is every chain graph on the
+    # complete skeleton: the chain components, in their one possible order,
+    # are an ordered partition of the nodes, and each such partition gives
+    # one chain graph
+    labels = "abcde"[:n]
+    kn = build_graph(labels, [line(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]])
+    members = equivalence_class(kn)
+    assert len(members) == ORDERED_BELL[n]
+    assert len(set(members)) == len(members)
+    assert all(is_chain_graph(m) for m in members)
+    assert len({component_chain(m) for m in members}) == len(members)
+    assert largest_cg_oracle(kn) == kn

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chaingraphs import (
@@ -43,9 +45,49 @@ def test_round_trip_bit_exact():
     assert text.endswith("\n")
 
 
+def _edge_map_serialize(g):
+    """The earlier serializer, kept as the reference: lines, then arrows,
+    read from the label-keyed edge map."""
+    out = ["nodes " + " ".join(g.nodes)]
+    out.extend(f"{u} -- {v}" for u, v in g.lines())
+    out.extend(f"{u} -> {v}" for u, v in g.arrows())
+    return "\n".join(out) + "\n"
+
+
+def _random_hybrid_graphs(rng, count, max_n):
+    """Seeded graphs over v0..v<n-1>, any mix of lines and arrows, so
+    chain graphs and graphs with directed pseudocycles alike."""
+    for _ in range(count):
+        labels = [f"v{i}" for i in range(rng.randint(1, max_n))]
+        specs = []
+        for i, u in enumerate(labels):
+            for v in labels[i + 1:]:
+                r = rng.random()
+                if r < 0.1:
+                    specs.append(line(u, v))
+                elif r < 0.2:
+                    specs.append(arrow(u, v))
+                elif r < 0.3:
+                    specs.append(arrow(v, u))
+        yield build_graph(labels, specs)
+
+
 def test_round_trip_all_four_node_hybrid_graphs():
+    count = 0
     for g in all_hybrid_graphs("abcd"):
-        assert parse_graph(serialize_graph(g)) == g, g
+        text = serialize_graph(g)
+        assert text == _edge_map_serialize(g), text
+        assert parse_graph(text) == g, g
+        count += 1
+    assert count == 4096
+
+
+def test_serialize_matches_the_edge_map_rendering_on_random_graphs():
+    # labels v10..v29 sort before v2, so index order is not numeric order
+    for g in _random_hybrid_graphs(random.Random(19), 1000, 30):
+        text = serialize_graph(g)
+        assert text == _edge_map_serialize(g), text
+        assert parse_graph(text) == g, text
 
 
 def test_serialize_order():
