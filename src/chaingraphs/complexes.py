@@ -247,8 +247,9 @@ def equivalence_class(g: HybridGraph, max_edges: int = 12) -> list[HybridGraph]:
       Such a path is a complex of ``g`` exactly when its end edges are
       arrows into it and its inner edges lines (``_is_complex``), so
       ``g``'s complexes are never listed.
-    - *Leaves.*  Each leaf is still built and kept only if it is a chain
-      graph whose complex arrows (``_complex_parents``) are the pattern's
+    - *Leaves.*  A leaf is a chain graph, since every branch that holds a
+      directed pseudocycle was cut.  Each leaf is still built and kept only
+      if its complex arrows (``_complex_parents``) are the pattern's
       arrows.  The leaf shares ``g``'s skeleton, so by the lemma in
       ``markov_equivalent`` that is the same as having ``g``'s complexes.
     """
@@ -281,7 +282,7 @@ def equivalence_class(g: HybridGraph, max_edges: int = 12) -> list[HybridGraph]:
     while pos >= 0:
         if pos == len(ends):
             cand = HybridGraph._of_masks(g.nodes, sib, par, chi)
-            if is_chain_graph(cand) and _complex_parents(cand) == pat.par_masks:
+            if _complex_parents(cand) == pat.par_masks:
                 members.append(cand)
             pos -= 1
             continue

@@ -125,9 +125,7 @@ class CGBackedModel(DependencyModel):
         return answer
 
     def is_independent(self, t: Triplet) -> bool:
-        g = self.graph
-        t.validate_over(g.nodes)
-        return self.independent_mask(g.mask_of(t.X), g.mask_of(t.Y), g.mask_of(t.Z))
+        return self.independent_mask(*t.masks_over(self.graph))
 
 
 class ExplicitModel(DependencyModel):

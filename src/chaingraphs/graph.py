@@ -93,7 +93,7 @@ class HybridGraph:
     graph exactly when their edge key sets coincide.
     """
 
-    __slots__ = ("_nodes", "_index", "_sib", "_par", "_chi", "_cache")
+    __slots__ = ("_nodes", "_bit", "_sib", "_par", "_chi", "_cache")
 
     def __init__(self, nodes: Iterable[str], edges: Mapping[tuple[str, str], EdgeKind]):
         node_list = list(nodes)
@@ -105,7 +105,7 @@ class HybridGraph:
                 raise GraphError(f"duplicate node label: {label!r}")
             seen.add(label)
         self._nodes = tuple(sorted(node_list))
-        self._index = index = {label: i for i, label in enumerate(self._nodes)}
+        self._bit = bit = {label: 1 << i for i, label in enumerate(self._nodes)}
         n = len(self._nodes)
         sib = [0] * n
         par = [0] * n
@@ -113,9 +113,9 @@ class HybridGraph:
         for (u, v), kind in edges.items():
             if u == v:
                 raise GraphError(f"self-loop at {u!r}")
-            if u not in index or v not in index:
+            if u not in bit or v not in bit:
                 raise GraphError(f"edge endpoint not a declared node: {(u, v)!r}")
-            i, j = index[u], index[v]
+            i, j = bit[u].bit_length() - 1, bit[v].bit_length() - 1
             if (sib[i] | par[i] | chi[i]) >> j & 1:
                 raise GraphError(f"duplicate edge {_key(u, v)!r}")
             if kind is EdgeKind.LINE:
@@ -137,7 +137,7 @@ class HybridGraph:
         """Graph from line and parent masks over labels already sorted and
         valid.  Nothing is checked; all lists are copied.  ``chi`` is trusted
         when given; otherwise the child masks are derived from ``par``.  The
-        label index is left unset until :meth:`index_of` first needs it."""
+        label map is left unset until a label is first looked up."""
         g = cls.__new__(cls)
         g._nodes = tuple(nodes)
         g._sib = list(sib)
@@ -219,19 +219,20 @@ class HybridGraph:
     # -- mask plumbing ---------------------------------------------------
 
     def index_of(self, label: str) -> int:
-        try:
-            index = self._index
-        except AttributeError:  # a graph built from masks makes it on first use
-            index = self._index = {label: i for i, label in enumerate(self._nodes)}
-        try:
-            return index[label]
-        except KeyError:
-            raise GraphError(f"unknown node: {label!r}") from None
+        return self.mask_of((label,)).bit_length() - 1
 
     def mask_of(self, labels: Iterable[str]) -> int:
+        """The mask of the nodes ``labels`` names; a repeated label counts once."""
+        try:
+            bit = self._bit
+        except AttributeError:  # a graph built from masks makes it on first use
+            bit = self._bit = {u: 1 << i for i, u in enumerate(self._nodes)}
         m = 0
-        for label in labels:
-            m |= 1 << self.index_of(label)
+        try:
+            for label in labels:
+                m |= bit[label]
+        except KeyError:
+            raise GraphError(f"unknown node: {label!r}") from None
         return m
 
     def labels_of(self, mask: int) -> frozenset[str]:

@@ -6,15 +6,21 @@ tests plain undirected separation.  The c-separation criterion instead
 tests every trail between X and Y directly: a trail is separated when one
 of its sections (maximal line runs) is blocked by Z.
 
-Each criterion answers a query with one linear search on bitmasks.
-``moralization_represented`` runs one breadth-first search in a moral
-graph built once per graph, with a virtual node standing for the parents
-of each line component.  ``c_represented`` searches over section starts,
-in the manner of Bayes-ball: whether a section may end at a node depends
-only on where it starts, how it was entered and how it is left, never on
-the rest of the trail.  ``enumerate_trails``, ``sections_of`` and
-``section_blocked`` are the literal definitions the tests cross-check
-against.
+Each criterion answers a query with linear searches on bitmasks.
+``moralization_represented`` runs two: one climbs parents and lines from
+X | Y | Z to the ancestral set A, then a breadth-first search inside A
+runs in a moral graph with a virtual node standing for the parents of
+each line component; the first is skipped when X | Y | Z is every node.
+Per graph it builds only the virtual-node step lists, no ancestor or
+descendant closures; the ascending step reaches a component's virtual
+node exactly when the whole component lies in A.
+``c_represented`` is one search over section starts, in the manner of
+Bayes-ball: whether a section may end at a node depends only on where it
+starts, how it was entered and how it is left, never on the rest of the
+trail.  Both turn a triplet's labels into masks with
+``Triplet.masks_over``, one lookup per label.  ``enumerate_trails``,
+``sections_of`` and ``section_blocked`` are the literal definitions the
+tests cross-check against.
 """
 
 from __future__ import annotations
@@ -96,28 +102,32 @@ def ug_separated(u_graph: HybridGraph, t: Triplet) -> bool:
     """Undirected separation: every X-to-Y path meets Z."""
     if any(u_graph.par_masks):
         raise GraphError("ug_separated expects an all-line graph")
-    t.validate_over(u_graph.nodes)
-    ym = u_graph.mask_of(t.Y)
-    reach = _reach(u_graph.sib_masks, u_graph.mask_of(t.X), u_graph.mask_of(t.Z), stop=ym)
+    xm, ym, zm = t.masks_over(u_graph)
+    reach = _reach(u_graph.sib_masks, xm, zm, stop=ym)
     return not reach & ym
 
 
 @_per_graph
 def _moral_steps(g: HybridGraph) -> tuple[list[int], list[int]]:
-    """(adjacency, ancestor masks) of the moral graph with virtual nodes.
+    """(adjacency, ascending step) of the moral graph with virtual nodes.
 
     Any two parents of a line component are adjacent or the parents of a
     complex, so the moral graph joins them all.  Node n + k is a virtual
     node joined to the parents of the k-th component with two or more
-    parents: a step through it stands for a moral line.  Every ancestral
-    set is a union of whole components, and the ancestor mask of node i
-    carries the virtual bit of each component inside ``anc(i)``.
+    parents: a step through it stands for a moral line.
+
+    ``up[j]`` holds j's parents and siblings and, for a real node j, the
+    virtual bit of j's component; a virtual node's ``up`` is 0.  The nodes
+    ``up`` reaches from a set S are the ancestral set of S, a union of
+    whole components, plus the virtual bit of each component that lies
+    in it: reaching one node of a component reaches all of it along lines,
+    so ``up`` reaches the virtual bit exactly when the whole component
+    lies in that set.  The build is these two lists, linear in the graph.
     """
     n = len(g)
     comp, comp_par = _component_masks(g)
-    desc = g.desc_masks
     step = [g.adj_mask(i) for i in range(n)]
-    anc = list(g.anc_masks)
+    up = [p | s for p, s in zip(g.par_masks, g.sib_masks)]
     for i in range(n):
         p = comp_par[i]
         if comp[i] & -comp[i] == 1 << i and p & (p - 1):
@@ -125,37 +135,40 @@ def _moral_steps(g: HybridGraph) -> tuple[list[int], list[int]]:
             step.append(p)
             for j in _bits(p):
                 step[j] |= bit
-            for j in _bits(desc[i]):
-                anc[j] |= bit
-    return step, anc
+            for j in _bits(comp[i]):
+                up[j] |= bit
+    up += [0] * (len(step) - n)
+    return step, up
 
 
 def represented_mask(g: HybridGraph, xm: int, ym: int, zm: int) -> bool:
     """Moralization criterion on bitmask node sets (no validation).
 
-    One breadth-first search from X in the virtual-node moral graph, kept
-    out of Z and out of the ancestral set A of X | Y | Z, stopped at the
+    Two linear searches.  The first climbs ``up`` from X | Y | Z to the
+    ancestral set A, with the virtual bits of the components inside it.
+    The second is a breadth-first search from X in the virtual-node moral
+    graph, kept out of Z and out of everything not in A, stopped at the
     first node of Y it reaches.  X, Y and Z are pairwise disjoint, as a
     ``Triplet`` guarantees.
 
     - *Adjacent pair.*  When X = {x} and some y in Y is adjacent to x in G,
-      the answer is "connected" at once.  Both x and y lie in A, so their
-      edge is an edge of the moral graph of G_A, and y is not in Z.  The
-      test reads ``step[x]``, which holds x's neighbours in G plus virtual
-      bits, and ``ym`` never holds a virtual bit.
+      the answer is "connected" at once, before either search.  Both x and
+      y lie in A, so their edge is an edge of the moral graph of G_A, and y
+      is not in Z.  The test reads ``step[x]``, which holds x's neighbours
+      in G plus virtual bits, and ``ym`` never holds a virtual bit.
     - *Early stop.*  The answer is only whether the search reaches Y.  Y
       lies in A and outside Z, so it never meets the avoided set, and the
       first Y node reached fixes the answer.
+    - *Every node given.*  When X | Y | Z holds every node, A is the whole
+      graph with every virtual node, and the first search is skipped.
+      Stage 1 of recovery asks every pair so, given all other nodes, and
+      there that search would expand every node to learn nothing.
     """
-    step, anc = _moral_steps(g)
+    step, up = _moral_steps(g)
     if xm.bit_count() == 1 and step[xm.bit_length() - 1] & ym:
         return False
-    a_mask = 0
-    rest = xm | ym | zm
-    while rest:
-        low = rest & -rest
-        a_mask |= anc[low.bit_length() - 1]
-        rest ^= low
+    seed = xm | ym | zm
+    a_mask = -1 if seed == (1 << len(g)) - 1 else _reach(up, seed)
     return not _reach(step, xm, zm | ~a_mask, stop=ym) & ym
 
 
@@ -163,8 +176,7 @@ def moralization_represented(g: HybridGraph, t: Triplet) -> bool:
     """The 3-step criterion: ancestral restriction, moralization, separation."""
     if not is_chain_graph(g):
         raise NotChainGraphError("moralization criterion is defined for chain graphs")
-    t.validate_over(g.nodes)
-    return represented_mask(g, g.mask_of(t.X), g.mask_of(t.Y), g.mask_of(t.Z))
+    return represented_mask(g, *t.masks_over(g))
 
 
 # ---------------------------------------------------------------------------
@@ -424,5 +436,4 @@ def c_represented(g: HybridGraph, t: Triplet) -> bool:
     """True iff every trail from X to Y has at least one blocked section."""
     if not is_chain_graph(g):
         raise NotChainGraphError("c-separation is defined for chain graphs")
-    t.validate_over(g.nodes)
-    return not c_active_mask(g, g.mask_of(t.X), g.mask_of(t.Y), g.mask_of(t.Z))
+    return not c_active_mask(g, *t.masks_over(g))

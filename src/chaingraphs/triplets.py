@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator
 
-from .graph import _LABEL_RE
+from .graph import _LABEL_RE, GraphError, HybridGraph
 
 __all__ = ["InvalidTripletError", "Triplet", "parse_triplet", "format_triplet", "all_triplets"]
 
@@ -43,6 +43,16 @@ class Triplet:
         unknown = (self.X | self.Y | self.Z) - set(nodes)
         if unknown:
             raise InvalidTripletError(f"unknown nodes: {sorted(unknown)}")
+
+    def masks_over(self, g: HybridGraph) -> tuple[int, int, int]:
+        """X, Y and Z as node masks of ``g``.  A label ``g`` lacks raises
+        the ``InvalidTripletError`` of :meth:`validate_over`, naming them all;
+        the labels are checked only when a lookup misses."""
+        try:
+            return g.mask_of(self.X), g.mask_of(self.Y), g.mask_of(self.Z)
+        except GraphError:
+            self.validate_over(g.nodes)
+            raise
 
     def __repr__(self) -> str:
         return f"Triplet({format_triplet(self)!r})"

@@ -84,8 +84,9 @@ def test_sep_verdicts(files, capsys):
 
 def test_sep_bad_triplet(files, capsys):
     for criterion in ("moral", "c"):
-        assert run(["sep", files["ga.cg"], "a | z |", "--criterion", criterion]) == 2
-        assert capsys.readouterr().err == "error: triplet 'a | z |': unknown nodes: ['z']\n"
+        for text in ("z | a |", "a | z |", "a | c | z"):
+            assert run(["sep", files["ga.cg"], text, "--criterion", criterion]) == 2
+            assert capsys.readouterr().err == f"error: triplet {text!r}: unknown nodes: ['z']\n"
     assert run(["sep", files["ga.cg"], "a | a |"]) == 2
 
 

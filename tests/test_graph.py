@@ -126,10 +126,15 @@ def test_mask_constructor_builds_the_label_index_on_first_use(ga):
     assert g == ga and hash(g) == hash(ga)
     assert [g.index_of(u) for u in "abcd"] == [0, 1, 2, 3]
     assert g.mask_of("bd") == ga.mask_of("bd") == 0b1010
+    assert g.mask_of("bdb") == ga.mask_of("bdb") == 0b1010  # repeats OR together
+    assert g.mask_of(()) == 0
     with pytest.raises(GraphError, match="unknown node: 'z'"):
         g.index_of("z")
-    with pytest.raises(GraphError):
-        HybridGraph._of_masks(ga.nodes, ga.sib_masks, ga.par_masks).mask_of("az")
+    for h in (ga, HybridGraph._of_masks(ga.nodes, ga.sib_masks, ga.par_masks)):
+        with pytest.raises(GraphError, match="^unknown node: 'z'$"):
+            h.mask_of("az")
+        with pytest.raises(GraphError, match="^unknown node: 'z'$"):
+            h.index_of("z")
     assert g == ga and hash(g) == hash(ga) and {g: 1}[ga] == 1
 
 

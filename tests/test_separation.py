@@ -1,10 +1,15 @@
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
 
 from chaingraphs import (
+    CGBackedModel,
+    EdgeKind,
     GraphError,
+    HybridGraph,
+    InvalidTripletError,
     Section,
     Trail,
     Triplet,
@@ -24,6 +29,7 @@ from chaingraphs import (
     sections_of,
     slides_to,
     ug_separated,
+    underlying,
 )
 from chaingraphs.separation import c_active_mask, represented_mask
 
@@ -63,6 +69,25 @@ def test_moralization_represented(ga, ge):
     assert not moralization_represented(ge, Triplet("a", "f", Z_E))
     assert moralization_represented(ga, parse_triplet("a | c | b"))
     assert not moralization_represented(ga, parse_triplet("a | c | d"))
+
+
+def test_triplet_entry_points_name_unknown_labels_alike(ga):
+    # masks are looked up first and the labels validated only on a miss;
+    # every entry point must still name all unknown labels, in X, Y or Z,
+    # on graphs from the constructor and from masks alike
+    from_masks = HybridGraph._of_masks(ga.nodes, ga.sib_masks, ga.par_masks)
+    all_lines = HybridGraph(ga.nodes, {pair: EdgeKind.LINE for pair in ga.edges})
+    cases = [(Triplet("z", "c", "b"), "['z']"), (Triplet("a", "cqz", ""), "['q', 'z']"),
+             (Triplet("a", "c", "bz"), "['z']"), (Triplet("qa", "c", "z"), "['q', 'z']")]
+    for t, unknown in cases:
+        calls = [partial(ug_separated, ug) for ug in (all_lines, underlying(ga))]
+        for g in (ga, from_masks):
+            calls += [partial(moralization_represented, g), partial(c_represented, g)]
+            calls += [CGBackedModel(g, criterion).is_independent for criterion in ("moral", "c")]
+        for call in calls:
+            with pytest.raises(InvalidTripletError) as exc:
+                call(t)
+            assert str(exc.value) == f"unknown nodes: {unknown}", (call, t)
 
 
 def test_disconnected_always_separated():
@@ -252,6 +277,27 @@ def test_adjacent_pairs_are_connected_by_the_definitions(cgs4):
 def test_criteria_match_definitions_on_5_node_sample(reps5):
     for g in random.Random(7).sample(reps5, 100):
         _assert_literal_definitions(g)
+
+
+def test_moralization_matches_its_three_steps_on_block_draws(block_chain_graph):
+    # the literal criterion is polynomial, so it reaches sizes the trail
+    # definitions cannot: multi-node X and Y, and line components with
+    # many parents, each of whose virtual bits lies in A or not
+    rng = random.Random(20)
+    answers = {True: 0, False: 0}
+    for n in range(9, 31):
+        for p_cut, p_line, p_arrow in ((0.3, 0.3, 0.1), (0.1, 0.35, 0.15)):
+            g = block_chain_graph(rng, n, p_cut, p_line, p_arrow)
+            for _ in range(100):
+                picked = rng.sample(g.nodes, rng.randint(2, 6))
+                cut = rng.randint(1, len(picked) - 1)
+                z = [u for u in g.nodes if u not in picked and rng.random() < 0.4]
+                t = Triplet(picked[:cut], picked[cut:], z)
+                a = ancestral_set(g, t.X | t.Y | t.Z)
+                literal = ug_separated(moral_graph(induced_subgraph(g, a)), t)
+                assert moralization_represented(g, t) == literal, (g, t)
+                answers[literal] += 1
+    assert min(answers.values()) > 500, answers
 
 
 def _chain_graph_with_large_component(rng, n, k):
