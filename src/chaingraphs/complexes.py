@@ -16,10 +16,12 @@ exponential time to list, are still listed by ``enumerate_complexes`` and
 ``complex_parent_pairs``; by ``equivalence_class`` and the class oracles
 built on it, once per call, as the chordless skeleton paths its prune
 checks; and by stage 1 of recovery (``recovery.recover_pattern``), which
-directs complex ends with ``_chordless_paths``.  For a model backed by a
-chain graph it walks only between married nodes, the nonadjacent parents
-of one line component; for any other model it walks from every node.
-Either way it stops at a bound on the partial paths it takes up.
+directs complex ends with ``_chordless_paths``, one level of path length
+at a time, and stops at the first level no partial path goes beyond.  For
+a model backed by a chain graph it walks only between married nodes, the
+nonadjacent parents of one line component; for any other model it walks
+from every node.  Either way it stops at a bound on the partial paths it
+takes up.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ class Complex:
 
 
 def _chordless_paths(sib: list[int], ends: list[int], adj: list[int], mask: int,
-                     length: int | None = None, expand=None) -> Iterator[tuple[int, ...]]:
+                     length: int | None = None, expand=None,
+                     deeper=None) -> Iterator[tuple[int, ...]]:
     """Chordless paths (a, w1, ..., wl, b) of the induced subgraph on ``mask``.
 
     w1 - ... - wl is a line path (``sib``), a is in ``ends[w1]`` and b in
@@ -84,7 +87,9 @@ def _chordless_paths(sib: list[int], ends: list[int], adj: list[int], mask: int,
     (``adj``); ``length`` fixes l.  Index order follows label order, so
     a < b is label canonicalization.  ``expand``, when given, is called
     once per partial path a, w1, ... taken up, and may raise to end the
-    search.
+    search.  ``deeper``, when given with ``length``, is called once if
+    some partial path a, w1, ..., wl goes on by a line to a w(l+1): a
+    partial path one node longer exists.
     """
     for w in _bits(mask):
         for a in _bits(ends[w] & mask):
@@ -103,6 +108,9 @@ def _chordless_paths(sib: list[int], ends: list[int], adj: list[int], mask: int,
                     blocked |= adj[last]
                     for x in _bits(sib[last] & free):
                         stack.append(((*path, x), blocked))
+                elif deeper is not None and sib[last] & free:
+                    deeper()
+                    deeper = None
 
 
 def enumerate_complexes(g: HybridGraph) -> list[Complex]:

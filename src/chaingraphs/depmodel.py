@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
+from functools import partial
 from itertools import combinations
 
 from .complexes import BoundExceededError
 from .graph import GraphError, HybridGraph, _LABEL_RE, _bits, boundary, is_chain_graph
-from .separation import c_active_mask, represented_mask
+from .separation import _moral_separated, _moral_steps, c_active_mask
 # unused here; bench/spans.py patches these names and cannot install without them
 from .separation import c_represented, moralization_represented  # noqa: F401
 from .triplets import InvalidTripletError, Triplet, all_triplets, format_triplet, parse_triplet
@@ -92,18 +93,30 @@ class DependencyModel:
         return self.is_independent(Triplet(sets[x], sets[y], sets[z]))
 
 
+def _c_separated(g: HybridGraph, x: int, y: int, z: int) -> bool:
+    """Independence by c-separation: no active trail (no validation)."""
+    return not c_active_mask(g, x, y, z)
+
+
 class CGBackedModel(DependencyModel):
     """The dependency model induced by a chain graph.
 
     ``criterion`` selects the backend: 'moral' (default) or 'c'; the two
-    agree on every triplet.  Answers are memoized per ``(x, y, z)`` node
-    mask triple, over the graph's (sorted) node order.
+    agree on every triplet.  The criterion is bound to the graph once, at
+    construction, so a query is one call into it.  Answers are memoized
+    per ``(x, y, z)`` node mask triple, over the graph's (sorted) node
+    order.
     """
 
     def __init__(self, graph: HybridGraph, criterion: str = "moral"):
         if not is_chain_graph(graph):
             raise GraphError("CG-backed models require a chain graph")
-        if criterion not in ("moral", "c"):
+        if criterion == "moral":
+            self._separated = partial(_moral_separated, *_moral_steps(graph),
+                                      (1 << len(graph)) - 1)
+        elif criterion == "c":
+            self._separated = partial(_c_separated, graph)
+        else:
             raise ValueError(f"unknown criterion {criterion!r}")
         self.graph = graph
         self.criterion = criterion
@@ -117,11 +130,7 @@ class CGBackedModel(DependencyModel):
         key = (x, y, z)
         answer = self._memo.get(key)
         if answer is None:
-            if self.criterion == "moral":
-                answer = represented_mask(self.graph, x, y, z)
-            else:
-                answer = not c_active_mask(self.graph, x, y, z)
-            self._memo[key] = answer
+            answer = self._memo[key] = self._separated(x, y, z)
         return answer
 
     def is_independent(self, t: Triplet) -> bool:

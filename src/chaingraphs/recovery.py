@@ -7,9 +7,12 @@ the skeleton.  Level l >= 1 searches the current graph for the chordless
 paths a, w1 - ... - wl, b whose ends are joined to the line path by a line
 or an arrow into it, and directs a -> w1 and b -> wl where ``dep_plus``
 holds given w1 and given wl.  The search is the one that enumerates
-complexes, run on the working graph's line and arrow bitmasks.  It can
-take exponential time, so it raises ``BoundExceededError`` past
-``depmodel.MAX_WALK_SETS`` partial paths over all levels.
+complexes, run on the working graph's line and arrow bitmasks.  The
+levels stop after the first one at which no partial path goes on by one
+more line: directing never adds a line, so no later level could find a
+path.  The search can still take exponential time, so it raises
+``BoundExceededError`` past ``depmodel.MAX_WALK_SETS`` partial paths over
+all levels.
 
 That walk asks up to 2^(n-2) queries per predicate.  A ``CGBackedModel``
 is known to come from a chain graph, so it takes the PC route instead
@@ -213,6 +216,17 @@ def recover_pattern(model: DependencyModel, trace=None) -> HybridGraph:
     Level-l directings are computed against the previous level in full
     before any is applied, so search order cannot matter.
 
+    *Where the levels stop.*  The loop ends after the first level l at
+    which no partial path a, w1, ..., wl goes on by a line to a further
+    node, the levels past it unsearched; this holds for every model.  A
+    level-m path, m > l, would begin with such a partial path of l + 1
+    interior nodes, and none appears later: directing only turns lines
+    into arrows, the skeleton ``adj`` that decides chordlessness is
+    fixed, and ``ends = (sib | par) & married`` only shrinks (a directed
+    line tail -> head leaves sib[tail] and moves from sib[head] to
+    par[head]).  So every partial path of a later level is one of this
+    level's, and none has l + 1 interior nodes.
+
     With ``trace`` given, a ``CGBackedModel`` reports the separator
     recorded for each non-adjacent pair, in sorted pair order, as one
     ``("separator", a, b, labels)`` event before the complex ends are
@@ -253,6 +267,10 @@ def recover_pattern(model: DependencyModel, trace=None) -> HybridGraph:
             raise BoundExceededError(f"complex-end search over {n} nodes exceeds "
                                      f"the bound of {bound} path expansions")
 
+    def deeper():
+        nonlocal longer
+        longer = True
+
     zeros = [0] * n
     w = _WorkingGraph(nodes, sib, zeros, zeros, zeros)
     adj = list(sib)  # directing keeps the skeleton
@@ -260,13 +278,16 @@ def recover_pattern(model: DependencyModel, trace=None) -> HybridGraph:
     for level in range(1, n - 1):
         ends = [(s | t) & married for s, t in zip(w.sib, w.par)]
         demands: set[tuple[int, int]] = set()
-        for p in _chordless_paths(w.sib, ends, adj, full, level, expand):
+        longer = False
+        for p in _chordless_paths(w.sib, ends, adj, full, level, expand, deeper):
             a, b = p[0], p[-1]
             # with one interior node p[1] is p[-2]: one query covers both ends
             if complex_end(a, b, p[1]) and (level == 1 or complex_end(a, b, p[-2])):
                 demands.add((p[0], p[1]))
                 demands.add((p[-1], p[-2]))
         _apply_level(w, demands)
+        if not longer:  # no later level has a path to find
+            break
     return w.to_graph()
 
 
@@ -289,19 +310,29 @@ def _pc_skeleton(model: CGBackedModel, n: int) -> tuple[list[int], dict[tuple[in
     dependent answer adds w to na[x] for every x in z + u + v (Fact A).
     Once u is known not to be anterior to v, bd(u) separates the pair
     (Fact C), so v's pool is skipped, but only while the opposite fact is
-    still unknown: the side searched never switches.  These queries count
-    too: asking more than ``depmodel.MAX_WALK_SETS`` raises
-    ``BoundExceededError``.
+    still unknown: the side searched never switches.
+
+    Every query goes through one loop, ``first_independent``, which
+    counts it: asking more than ``depmodel.MAX_WALK_SETS`` raises
+    ``BoundExceededError``.  A pool's subsets are listed only when it has
+    at least s nodes, and v's pool is not searched at s = 0, where its one
+    subset, the empty set, is a subset of u's pool.
     """
     bound, asked = depmodel.MAX_WALK_SETS, 0
+    query = model.independent_mask
 
-    def independent(u, v, z):
+    def first_independent(u, v, sets):
+        """The first set z of ``sets`` with <u, v | z> independent, or None."""
         nonlocal asked
-        asked += 1
-        if asked > bound:
-            raise BoundExceededError(
-                f"skeleton search over {n} nodes exceeds the bound of {bound} queries")
-        return model.independent_mask(1 << u, 1 << v, z)
+        x, y = 1 << u, 1 << v
+        for z in sets:
+            asked += 1
+            if asked > bound:
+                raise BoundExceededError(
+                    f"skeleton search over {n} nodes exceeds the bound of {bound} queries")
+            if query(x, y, z):
+                return z
+        return None
 
     full = (1 << n) - 1
     adj = [0] * n
@@ -309,8 +340,8 @@ def _pc_skeleton(model: CGBackedModel, n: int) -> tuple[list[int], dict[tuple[in
     sep: dict[tuple[int, int], int] = {}
     for u in range(n):
         for v in range(u + 1, n):
-            z = full & ~(1 << u | 1 << v)
-            if independent(u, v, z):
+            z = first_independent(u, v, (full & ~(1 << u | 1 << v),))
+            if z is not None:
                 sep[u, v] = z
             else:
                 adj[u] |= 1 << v
@@ -322,19 +353,13 @@ def _pc_skeleton(model: CGBackedModel, n: int) -> tuple[list[int], dict[tuple[in
                 u_out, v_out = na[v] >> u & 1, na[u] >> v & 1  # u not in an(v); v not in an(u)
                 pool_u = 0 if v_out and not u_out else adj[u] & ~(1 << v | na[u])
                 pool_v = 0 if u_out and not v_out else adj[v] & ~(1 << u | na[v])
-                if pool_u.bit_count() < s and pool_v.bit_count() < s:
+                fits_u, fits_v = pool_u.bit_count() >= s, pool_v.bit_count() >= s
+                if not (fits_u or fits_v):
                     continue
                 searched = True
-                z = None
-                for t in _subsets(pool_u, s):
-                    if independent(u, v, t):
-                        z = t
-                        break
-                if z is None:
-                    for t in _subsets(pool_v, s):
-                        if t & ~pool_u and independent(u, v, t):
-                            z = t
-                            break
+                z = first_independent(u, v, _subsets(pool_u, s)) if fits_u else None
+                if z is None and fits_v and s:  # the empty set is a subset of pool_u
+                    z = first_independent(u, v, (t for t in _subsets(pool_v, s) if t & ~pool_u))
                 if z is not None:
                     adj[u] &= ~(1 << v)
                     adj[v] &= ~(1 << u)
@@ -345,7 +370,7 @@ def _pc_skeleton(model: CGBackedModel, n: int) -> tuple[list[int], dict[tuple[in
                     for x in _bits(xs):
                         unknown |= adj[x] & ~na[x]
                     for w in _bits(unknown & ~xs):
-                        if not independent(u, v, z | 1 << w):
+                        if first_independent(u, v, (z | 1 << w,)) is None:
                             for x in _bits(xs):
                                 na[x] |= 1 << w
         if not searched:
@@ -354,6 +379,8 @@ def _pc_skeleton(model: CGBackedModel, n: int) -> tuple[list[int], dict[tuple[in
 
 def _subsets(pool: int, size: int):
     """The size-``size`` submasks of ``pool``, in ``combinations`` order."""
+    if size < 2:
+        return [1 << i for i in _bits(pool)] if size else (0,)
     return map(sum, combinations([1 << i for i in _bits(pool)], size))
 
 

@@ -164,11 +164,18 @@ def represented_mask(g: HybridGraph, xm: int, ym: int, zm: int) -> bool:
       Stage 1 of recovery asks every pair so, given all other nodes, and
       there that search would expand every node to learn nothing.
     """
-    step, up = _moral_steps(g)
+    return _moral_separated(*_moral_steps(g), (1 << len(g)) - 1, xm, ym, zm)
+
+
+def _moral_separated(step: list[int], up: list[int], full: int,
+                     xm: int, ym: int, zm: int) -> bool:
+    """The body of ``represented_mask``, on the lists of ``_moral_steps``
+    and the mask ``full`` of every node; a model that asks many queries
+    of one graph binds the first three arguments once."""
     if xm.bit_count() == 1 and step[xm.bit_length() - 1] & ym:
         return False
     seed = xm | ym | zm
-    a_mask = -1 if seed == (1 << len(g)) - 1 else _reach(up, seed)
+    a_mask = -1 if seed == full else _reach(up, seed)
     return not _reach(step, xm, zm | ~a_mask, stop=ym) & ym
 
 

@@ -230,12 +230,12 @@ def test_recover_from_cg_over_complex_end_bound_exit_2(tmp_path, monkeypatch, ca
                                                       diamond_ladder):
     ladder = tmp_path / "ladder.cg"
     ladder.write_text(chaingraphs.serialize_graph(diamond_ladder(8)))
-    monkeypatch.setattr(chaingraphs.depmodel, "MAX_WALK_SETS", 23381)
+    monkeypatch.setattr(chaingraphs.depmodel, "MAX_WALK_SETS", 9087)
     assert run(["recover", "--from-cg", str(ladder)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: complex-end search over 27 nodes exceeds "
-                            "the bound of 23381 path expansions\n")
+                            "the bound of 9087 path expansions\n")
 
 
 def test_model_parse_errors_exit_2(tmp_path, capsys):

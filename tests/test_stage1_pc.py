@@ -15,6 +15,7 @@ D<a, b | S + w> lies outside an(a, b, S).
 
 import random
 import time
+from itertools import combinations
 from statistics import median
 
 import pytest
@@ -22,6 +23,7 @@ import pytest
 from chaingraphs import (
     CGBackedModel,
     ExplicitModel,
+    Triplet,
     all_triplets,
     dep_all,
     dep_plus,
@@ -238,15 +240,78 @@ def test_married_filter_spares_other_models(monkeypatch, ga):
 
 
 def test_complex_end_search_budget(monkeypatch, diamond_ladder):
-    # the k = 8 ladder's complex-end search expands 23,382 partial paths
+    # the k = 8 ladder's complex-end search expands 9,088 partial paths: its
+    # levels stop at 18, the longest partial path, instead of running to 25
     model = CGBackedModel(diamond_ladder(8))
     pattern = recover_pattern(model)
-    monkeypatch.setattr(depmodel, "MAX_WALK_SETS", 23382)
+    monkeypatch.setattr(depmodel, "MAX_WALK_SETS", 9088)
     assert recover_pattern(model) == pattern
-    monkeypatch.setattr(depmodel, "MAX_WALK_SETS", 23381)
+    monkeypatch.setattr(depmodel, "MAX_WALK_SETS", 9087)
     with pytest.raises(BoundExceededError, match="complex-end search over 27 nodes "
-                                                 "exceeds the bound of 23381 path expansions"):
+                                                 "exceeds the bound of 9087 path expansions"):
         recover_pattern(model)
+
+
+def _pairwise_listing(backed):
+    """An ``ExplicitModel`` listing every independent <u, v | Z> of
+    ``backed``: all that stage 1 asks an explicit model."""
+    nodes = backed.nodes
+    listed = []
+    for u, v in combinations(nodes, 2):
+        rest = [w for w in nodes if w not in (u, v)]
+        for r in range(len(rest) + 1):
+            for z in combinations(rest, r):
+                t = Triplet({u}, {v}, z)
+                if backed.is_independent(t):
+                    listed.append(t)
+    return ExplicitModel(nodes, listed)
+
+
+def _expansions(sib, ends, adj, mask, length):
+    """How many partial paths the level-``length`` search takes up."""
+    taken = []
+    for _ in PATHS(sib, ends, adj, mask, length, lambda: taken.append(1)):
+        pass
+    return len(taken)
+
+
+# a -> c <- b, and c in a line clique with d0 ... d5: no chordless line
+# path has more than two interior nodes
+SHORT_LINES = """\
+nodes a b c d0 d1 d2 d3 d4 d5
+a -> c
+b -> c
+""" + "".join(f"{u} -- {v}\n" for u, v in combinations(["c"] + [f"d{i}" for i in range(6)], 2))
+
+
+@pytest.mark.parametrize("graph", ("short-lines", "ladder"))
+def test_level_search_stops_at_longest_partial_path(monkeypatch, diamond_ladder, graph):
+    """The level loop stops after the first level l with no partial path of
+    l + 1 interior nodes, for every model.  Directing only turns lines into
+    arrows, the skeleton is fixed and the ends only shrink, so no later
+    level could find a path.  The short-lines graph stops far below
+    n - 2; the k = 2 ladder still reaches level 5, its longest complex
+    p -> a00 - b00 - a01 - b01 - a02 <- q, and stops at 6."""
+    g = parse_graph(SHORT_LINES) if graph == "short-lines" else diamond_ladder(2)
+    last = {"short-lines": 2, "ladder": 6}[graph]
+    backed = CGBackedModel(g)
+    calls = []
+
+    def paths(sib, ends, adj, mask, length, *rest):
+        calls.append((list(sib), list(ends), adj, mask, length))
+        return PATHS(sib, ends, adj, mask, length, *rest)
+
+    monkeypatch.setattr(recovery, "_chordless_paths", paths)
+    for model in (backed, _pairwise_listing(backed)):
+        calls.clear()
+        assert recover_pattern(model) == pattern_of(g), model
+        assert [c[-1] for c in calls] == list(range(1, last + 1)), model
+        assert last < len(g) - 2
+        for *args, length in calls:
+            # the search one level longer takes up more partial paths
+            # exactly when a longer one exists
+            grows = _expansions(*args, length + 1) > _expansions(*args, length)
+            assert grows == (length < last), (model, length)
 
 
 @pytest.mark.parametrize("criterion", CRITERIA)
@@ -262,3 +327,32 @@ def test_end_to_end_is_relabelling_invariant(block_chain_graph, criterion):
             mapping = dict(zip(g.nodes, labels))
             got = recover_end_to_end(CGBackedModel(relabel(g, mapping), criterion))
             assert got == relabel(recover_end_to_end(CGBackedModel(g, criterion)), mapping)
+
+
+class _Logged(CGBackedModel):
+    """A ``CGBackedModel`` that logs every query stage 1 asks it."""
+
+    def __init__(self, g, criterion):
+        super().__init__(g, criterion)
+        self.asked = []
+
+    def independent_mask(self, x, y, z):
+        self.asked.append((x, y, z))
+        return super().independent_mask(x, y, z)
+
+
+def test_criteria_ask_the_same_queries(block_chain_graph):
+    """Each criterion is bound to the graph once, per model.  The two agree
+    on every triplet, so stage 1 asks the same (x, y, z) sequence, emits
+    the same trace events and returns the same pattern under either."""
+    rng = random.Random(2013)
+    for n in range(8, 21):
+        for density in ((), (0.3, 0.5, 0.25)):
+            g = block_chain_graph(rng, n, *density)
+            runs = []
+            for criterion in CRITERIA:
+                model, events = _Logged(g, criterion), []
+                pattern = recover_pattern(model, trace=events.append)
+                runs.append((model.asked, events, pattern))
+            assert runs[0] == runs[1], (g, n)
+            assert runs[0][0] and runs[0][2] == pattern_of(g), g
