@@ -6,8 +6,9 @@ Two chain graphs are Markov equivalent iff they share the underlying graph
 and the complex set; the pattern keeps exactly the complex arrows directed.
 
 The pattern and the equivalence test never list complexes.  Which arrows
-start or end a complex is one reachability search per pair of
-nonadjacent parents of a line component (``_complex_parents``), and two
+start or end a complex is one mask test per parent of a one-node
+component and one reachability search per pair of nonadjacent parents of
+a larger line component (``_complex_parents``), and two
 chain graphs with the same skeleton and the same complex arrows have the
 same complexes (``markov_equivalent``); stage 2 of recovery checks its
 result on ``_complex_parents`` alone, and so does ``equivalence_class``
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import (GraphError, HybridGraph, NotChainGraphError, _bits, _component_masks,
-                    _reach, is_chain_graph)
+                    _reach, _transpose, is_chain_graph)
 
 __all__ = [
     "Complex",
@@ -134,19 +135,23 @@ def _complex_parents(g: HybridGraph) -> list[int]:
     """Per node x, the mask of the nodes a whose arrow a -> x is a complex
     arrow of the chain graph ``g``: the first or last arrow of a complex.
 
-    Each line component τ with two or more parents is handled one pair
-    a < b of nonadjacent parents at a time.  Every x in ch(a) ∩ ch(b) ∩ τ
-    gives a -> x and b -> x.  Let R be the nodes that lines reach from
-    ch(b) ∩ τ − ch(a) without entering ch(a) ∪ ch(b).  Every w in
-    ch(a) ∩ τ − ch(b) with a line into R gives a -> w, and b gets the same
-    with a and b swapped.
+    Each line component τ with two or more parents is handled once.  A
+    one-node component {x} holds only complexes a -> x <- b, so a -> x is
+    a complex arrow exactly when a has a co-parent b in pa(x) not
+    adjacent to it: one mask test per parent, with no pair loop.  A larger
+    τ is handled one pair a < b of nonadjacent parents at a time.  Every x
+    in ch(a) ∩ ch(b) ∩ τ gives a -> x and b -> x.  Let R be the nodes that
+    lines reach from ch(b) ∩ τ − ch(a) without entering ch(a) ∪ ch(b).
+    Every w in ch(a) ∩ τ − ch(b) with a line into R gives a -> w, and b
+    gets the same with a and b swapped.
 
     Why this finds exactly the complex arrows:
 
     - A complex a -> w1 - ... - wl <- b has w1 in ch(a), wl in ch(b), and
       a, b nonadjacent parents of the component τ of its line path.  It is
       chordless, so its interior w2 ... wl-1 lies in τ outside
-      ch(a) ∪ ch(b).  The case l = 1 is x in ch(a) ∩ ch(b).
+      ch(a) ∪ ch(b).  The case l = 1 is x in ch(a) ∩ ch(b), the only case
+      a one-node τ has.
     - Conversely, take a line path from w in ch(a) − ch(b) to ch(b) − ch(a)
       whose inner nodes avoid ch(a) ∪ ch(b).  A shortest such path is
       chordless, because a chord would give a shorter path under the same
@@ -155,16 +160,21 @@ def _complex_parents(g: HybridGraph) -> list[int]:
       back into it, would close a directed pseudocycle.  So a and b touch
       the path only at its ends, and a, path, b is a complex.
     """
-    sib, chi = g.sib_masks, g.chi_masks
+    sib, par, chi = g.sib_masks, g.par_masks, g.chi_masks
     comp, comp_par = _component_masks(g)
     out = [0] * len(g)
     for i, c in enumerate(comp):
         p = comp_par[i]
         if not p & (p - 1) or c & -c != 1 << i:
             continue  # under two parents, or not the component's lowest node
+        if c == 1 << i:
+            for a in _bits(p):
+                if p & ~(sib[a] | par[a] | chi[a] | 1 << a):
+                    out[i] |= 1 << a
+            continue
         for a in _bits(p):
             ch_a = chi[a] & c
-            for b in _bits(p & ~g.adj_mask(a) & ~((2 << a) - 1)):
+            for b in _bits(p & ~(sib[a] | par[a] | chi[a]) & ~((2 << a) - 1)):
                 ch_b = chi[b] & c
                 for x in _bits(ch_a & ch_b):
                     out[x] |= (1 << a) | (1 << b)
@@ -189,16 +199,16 @@ def _complex_parents(g: HybridGraph) -> list[int]:
 def pattern_of(g: HybridGraph) -> HybridGraph:
     """Underlying graph with exactly the complex arrows restored.
 
-    The result need not be a chain graph.
+    The result need not be a chain graph.  Each node's line mask is its
+    skeleton mask less its complex arrows, in and out.
     """
     if not is_chain_graph(g):
         raise NotChainGraphError("pattern is defined for chain graphs only")
     par = _complex_parents(g)
-    sib = [(s | p | c) & ~q for s, p, c, q in zip(g.sib_masks, g.par_masks, g.chi_masks, par)]
-    for head, tails in enumerate(par):
-        for tail in _bits(tails):
-            sib[tail] &= ~(1 << head)
-    return HybridGraph._of_masks(g.nodes, sib, par)
+    chi = _transpose(par)
+    sib = [(s | p | c) & ~(q | k) for s, p, c, q, k in
+           zip(g.sib_masks, g.par_masks, g.chi_masks, par, chi)]
+    return HybridGraph._of_masks(g.nodes, sib, par, chi)
 
 
 def markov_equivalent(g: HybridGraph, h: HybridGraph) -> bool:

@@ -142,13 +142,7 @@ class HybridGraph:
         g._nodes = tuple(nodes)
         g._sib = list(sib)
         g._par = list(par)
-        if chi is None:
-            g._chi = chi = [0] * len(g._par)
-            for j, p in enumerate(g._par):
-                for i in _bits(p):
-                    chi[i] |= 1 << j
-        else:
-            g._chi = list(chi)
+        g._chi = _transpose(g._par) if chi is None else list(chi)
         g._cache = {}
         return g
 
@@ -277,6 +271,18 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _transpose(step: Sequence[int]) -> list[int]:
+    """The reversed relation: bit u of ``into[v]`` iff bit v of ``step[u]``,
+    so the child masks of the parent masks.  Only nonempty masks are read
+    bit by bit."""
+    into = [0] * len(step)
+    for u, succ in enumerate(step):
+        if succ:
+            for v in _bits(succ):
+                into[v] |= 1 << u
+    return into
 
 
 def _reach(step: Sequence[int], seed: int, avoid: int = 0, stop: int = 0) -> int:

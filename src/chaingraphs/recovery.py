@@ -32,6 +32,12 @@ alternating orientation bans (transitivity principle) with line directing
 (necessity and doublecycle principles); bans have priority.  Each rule's
 search is a reachability question over d-steps (arrows, and lines walked
 along their ban) answered by one mask breadth-first search (``_reach``).
+Each search starts only from the nodes that carry what it reads: a
+transitivity sweep from the nodes with a line to a later node, necessity
+from the nodes with an arrow out, and the doublecycle prefix from the
+arrows r0 -> r1 and lines r0 - rk with a second line at rk; the reverse
+d-steps are the parents plus the few banned lines.  So a round costs the
+lines and arrows of the working graph, not one search per node.
 Searching walks rather than simple routes gives the same answers on
 states reached from a pattern: cutting a repeated loop out of a walk
 leaves a walk of the same kind, unless the loop holds the free line, and
@@ -54,7 +60,7 @@ from .complexes import BoundExceededError, _chordless_paths, _complex_parents
 # unused here; bench/spans.py patches this name and cannot install without it
 from .complexes import pattern_of  # noqa: F401
 from .depmodel import CGBackedModel, DependencyModel, dep_all, dep_plus
-from .graph import GraphError, HybridGraph, _bits, _reach, is_chain_graph
+from .graph import GraphError, HybridGraph, _bits, _reach, _transpose, is_chain_graph
 
 __all__ = [
     "PatternConflictError",
@@ -109,6 +115,10 @@ class _WorkingGraph:
     def d_step(self, u: int) -> int:
         """Nodes v with an arrow u -> v or a line u - v banned against v -> u."""
         return self.chi[u] | (self.sib[u] & self.ban[u])
+
+    def d_steps(self) -> list[int]:
+        """``d_step(u)`` of every node u."""
+        return [c | s & b for c, s, b in zip(self.chi, self.sib, self.ban)]
 
     def direct(self, tail: int, head: int) -> None:
         """Turn the line tail - head into the arrow tail -> head."""
@@ -440,15 +450,6 @@ def _working(a: AnnotatedPattern | _WorkingGraph) -> _WorkingGraph:
     return a if isinstance(a, _WorkingGraph) else _WorkingGraph.of(a.graph, a.bans)
 
 
-def _transpose(step: list[int]) -> list[int]:
-    """The reversed relation: bit u of ``into[v]`` iff bit v of ``step[u]``."""
-    into = [0] * len(step)
-    for u, succ in enumerate(step):
-        for v in _bits(succ):
-            into[v] |= 1 << u
-    return into
-
-
 def _semislide_exists(w: _WorkingGraph, target: int, excluded: int,
                       banned_into: list[int]) -> bool:
     """Feasible semislide w1, ..., wk = target whose head step is a genuine
@@ -456,12 +457,17 @@ def _semislide_exists(w: _WorkingGraph, target: int, excluded: int,
 
     Reach back from ``target`` along banned lines (``banned_into`` is
     ``_transpose(w.ban)``), outside the neighbours of ``excluded``; a
-    reached node with a parent out there is the head.
+    reached node with a parent out there is the head.  When no banned line
+    leads into ``target`` from out there, ``target`` is the only node
+    reached, and its own parents are read directly.
     """
-    avoid = w.adj(excluded) | 1 << excluded
+    par = w.par
+    avoid = w.sib[excluded] | par[excluded] | w.chi[excluded] | 1 << excluded
+    if not banned_into[target] & ~avoid:
+        return bool(par[target] & ~avoid)
     heads = 0
     for v in _bits(_reach(banned_into, 1 << target, avoid)):
-        heads |= w.par[v]
+        heads |= par[v]
     return bool(heads & ~avoid)
 
 
@@ -480,7 +486,8 @@ def _transitivity(w: _WorkingGraph, trace=None) -> None:
     """Add every ban the transitivity principle forces, to a fixpoint.
 
     Sweeps the lines in order, testing each direction (x, y) not yet
-    banned, until a sweep adds no ban.  The test of a target reads the bans
+    banned, until a sweep adds no ban; a sweep starts only from the nodes
+    that have a line to a later node.  The test of a target reads the bans
     only through its search back along banned lines.  A new ban (x, y)
     lets that search step from y to x, so it can change the test only for
     the targets whose search reaches y: the nodes that banned lines lead
@@ -490,18 +497,20 @@ def _transitivity(w: _WorkingGraph, trace=None) -> None:
     search as at its last test, which added no ban, so the bans and their
     order are those of re-testing every pair on every sweep.
     """
-    banned_into = _transpose(w.ban)
+    sib, ban = w.sib, w.ban
+    later = [(u, s >> u + 1 << u + 1) for u, s in enumerate(sib) if s >> u + 1]
+    banned_into = _transpose(ban)
     dirty = (1 << len(w.nodes)) - 1
     while dirty:
         now, dirty = dirty, 0
-        for u in range(len(w.nodes)):
-            for v in _bits(w.sib[u] & ~((2 << u) - 1)):  # each line once, as u < v
+        for u, lines in later:
+            for v in _bits(lines):  # each line once, as u < v
                 for x, y in ((u, v), (v, u)):
-                    if (now >> x & 1 and not w.ban[x] >> y & 1
+                    if (now >> x & 1 and not ban[x] >> y & 1
                             and _semislide_exists(w, x, y, banned_into)):
-                        w.ban[x] |= 1 << y
+                        ban[x] |= 1 << y
                         banned_into[y] |= 1 << x
-                        touched = _reach(w.ban, 1 << y)
+                        touched = _reach(ban, 1 << y)
                         now |= touched
                         dirty |= touched
                         if trace is not None:
@@ -531,24 +540,28 @@ def _directing(w: _WorkingGraph, rule: str, found) -> Directing | None:
 
 
 def _necessity(w: _WorkingGraph):
-    """Find a necessity-principle pseudocycle r0 -> r1 => a - b => r0."""
-    n = len(w.nodes)
-    d = [w.d_step(u) for u in range(n)]
-    into = _transpose(d)
-    for r0 in range(n):
-        if not w.chi[r0]:
+    """Find a necessity-principle pseudocycle r0 -> r1 => a - b => r0.
+
+    The reverse d-steps are the parents plus the banned lines, read off the
+    transposed bans, so only the nodes that hold a ban are read bit by bit.
+    """
+    sib = w.sib
+    d = w.d_steps()
+    into = [p | s & q for p, s, q in zip(w.par, sib, _transpose(w.ban))]
+    for r0, out in enumerate(w.chi):
+        if not out:
             continue
         back = _reach(into, 1 << r0)
         ends = 0  # nodes with a line into back
         for b in _bits(back):
-            ends |= w.sib[b]
+            ends |= sib[b]
         if not ends:
             continue
-        for r1 in _bits(w.chi[r0]):
+        for r1 in _bits(out):
             hit = _reach(d, 1 << r1, avoid=1 << r0) & ends
             if hit:
                 a = (hit & -hit).bit_length() - 1
-                line = w.sib[a] & back
+                line = sib[a] & back
                 return (line & -line).bit_length() - 1, a, (r0, r1, a)
     return None
 
@@ -606,13 +619,24 @@ def _semislide_with_anchor(w: _WorkingGraph, r0: int, r1: int, rk: int) -> bool:
 def _doublecycle(w: _WorkingGraph):
     """Find a doublecycle-principle configuration: a prefix r0 -> r1 => last
     with a line last - rk - r0, and an anchored semislide into r1.
+
+    Only an r0 with both an arrow out and a line can start one, and only
+    an rk with a line besides rk - r0 can end its prefix, so the search
+    from r1 runs only for those; the d-steps are built before the first.
     """
-    n = len(w.nodes)
-    d = [w.d_step(u) for u in range(n)]
-    for r0 in range(n):
-        for r1 in _bits(w.chi[r0]):
-            for rk in _bits(w.sib[r0]):
-                last = _reach(d, 1 << r1, avoid=1 << r0 | 1 << rk) & w.sib[rk]
+    sib, chi = w.sib, w.chi
+    d = None
+    for r0, out in enumerate(chi):
+        if not (out and sib[r0]):
+            continue
+        for r1 in _bits(out):
+            for rk in _bits(sib[r0]):
+                last = sib[rk] & ~(1 << r0)
+                if not last:
+                    continue
+                if d is None:
+                    d = w.d_steps()
+                last &= _reach(d, 1 << r1, avoid=1 << r0 | 1 << rk)
                 if last and _semislide_with_anchor(w, r0, r1, rk):
                     return rk, (last & -last).bit_length() - 1, (r0, r1, rk)
     return None
@@ -647,7 +671,9 @@ def recover_largest(g0: HybridGraph, order=("necessity", "doublecycle"),
     result's pattern and the input share their nodes and skeleton, and two
     such graphs are equal exactly when their parent masks are.  The
     result's pattern has the complex arrows as its parents
-    (``_complex_parents``), so no second pattern graph is built.
+    (``_complex_parents``), so no second pattern graph is built.  The
+    component masks the check leaves cached on the result are dropped, so
+    the returned graph holds its masks only.
     """
     for rule in order:
         if rule not in _RULES:
@@ -668,6 +694,7 @@ def recover_largest(g0: HybridGraph, order=("necessity", "doublecycle"),
     result = w.to_graph()
     if not is_chain_graph(result) or _complex_parents(result) != g0.par_masks:
         raise InvalidPatternError("input is not the pattern of a Markov-equivalence class")
+    result._cache.clear()
     return result
 
 

@@ -129,6 +129,32 @@ def test_largest(files, tmp_path, capsys):
     assert capsys.readouterr().out == pat.read_text()
 
 
+# (chain graph, its pattern, the stage-2 trace) from the 5-node sweep: the
+# first pattern bans one direction and then directs a line by each rule; the
+# second bans four directions, the last on a second sweep, since the bans
+# that make it hold come after its first test
+LARGEST_TRACES = [
+    ("nodes a b c d e\na -- d\nb -- d\nc -- e\na -> e\nb -> c\nb -> e\nd -> e\n",
+     "nodes a b c d e\na -- d\nb -- c\nb -- d\nc -- e\nd -- e\na -> e\nb -> e\n",
+     "ban: no e <- c\nnecessity: b -> c (witness b e c)\n"
+     "doublecycle: d -> e (witness a e d)\n"),
+    ("nodes a b c d e\nb -- d\nb -- e\na -> e\nc -> d\n",
+     "nodes a b c d e\nb -- d\nb -- e\na -> e\nc -> d\n",
+     "ban: no d <- b\nban: no b <- e\nban: no e <- b\nban: no b <- d\n"),
+]
+
+
+@pytest.mark.parametrize("cg_text, pattern_text, trace", LARGEST_TRACES)
+def test_largest_trace_is_pinned(tmp_path, capsys, cg_text, pattern_text, trace):
+    g = chaingraphs.parse_graph(cg_text)
+    assert chaingraphs.serialize_graph(chaingraphs.pattern_of(g)) == pattern_text
+    pat = tmp_path / "pat.cg"
+    pat.write_text(pattern_text)
+    assert run(["largest", str(pat), "--trace"]) == 0
+    largest = chaingraphs.serialize_graph(chaingraphs.largest_cg_oracle(g))
+    assert capsys.readouterr() == (largest, trace)
+
+
 def test_largest_invalid_pattern(tmp_path, capsys):
     bad = tmp_path / "bad.cg"
     bad.write_text("nodes a b c\na -> b\nb -- c\n")

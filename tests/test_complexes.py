@@ -25,6 +25,7 @@ from chaingraphs import (
     serialize_graph,
     underlying,
 )
+from chaingraphs.graph import _bits
 
 
 def test_complex_canonical_orientation():
@@ -201,6 +202,26 @@ def test_pattern_of_matches_the_listed_complexes_on_block_draws(block_chain_grap
         density = (0.3, 0.5, 0.25) if k % 2 else (0.3, 0.3, 0.1)  # dense, sparse
         g = block_chain_graph(rng, n, *density)
         assert pattern_of(g) == _literal_pattern(g), g
+
+
+def test_pattern_of_matches_the_listed_complexes_on_largest_shaped_draws(block_chain_graph):
+    """Sparse DAG-like draws like the benchmark's stage-2 inputs, where most
+    components are one node: those with two or more parents take the
+    one-mask-test path of ``_complex_parents``, and both outcomes occur."""
+    rng = random.Random(20261022)
+    # one-node components with two or more parents, and those of them with
+    # a parent adjacent to all of its co-parents
+    multi = shielded = 0
+    for _ in range(300):
+        n = rng.randint(20, 30)
+        g = block_chain_graph(rng, n, 0.9, 0.5, rng.uniform(0.06, 0.2))
+        assert pattern_of(g) == _literal_pattern(g), g
+        for x in range(n):
+            p = g.par_masks[x]
+            if not g.sib_masks[x] and p & (p - 1):
+                multi += 1
+                shielded += any(not p & ~(g.adj_mask(a) | 1 << a) for a in _bits(p))
+    assert multi > shielded > 0, (multi, shielded)
 
 
 def test_diamond_ladder_is_polynomial(diamond_ladder):

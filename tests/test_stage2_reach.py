@@ -339,6 +339,19 @@ def test_stage2_matches_the_full_sweeps_on_block_draws(monkeypatch, block_chain_
     assert checked.fired["transitivity"] and checked.fired["necessity"], checked.fired
 
 
+def test_stage2_on_largest_shaped_draws(monkeypatch, block_chain_graph, greedy_merge):
+    """Sparse DAG-like draws at n = 20..30, shaped like the benchmark's
+    stage-2 inputs: every transitivity and necessity call matches the full
+    sweeps, and the result is the largest chain graph by merging."""
+    rng = random.Random(20261023)
+    graphs = [block_chain_graph(rng, rng.randint(20, 30), 0.9, 0.5, rng.uniform(0.06, 0.2))
+              for _ in range(100)]
+    checked = _drive(monkeypatch, graphs, routes=False)
+    assert checked.fired["transitivity"], checked.fired
+    for g in graphs:
+        assert recover_largest(pattern_of(g)) == greedy_merge(g), g
+
+
 def test_mask_validation_matches_the_pattern_comparison(monkeypatch):
     """On every 4-node hybrid graph g0, stage 2 raises InvalidPatternError
     exactly when the graph r its rules end in is no chain graph or has a
